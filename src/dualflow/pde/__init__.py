@@ -3,6 +3,7 @@
 from .field import ScalarField, field_from_function
 from .curvature import f_star, f_lstar, evolve_mcf_levelset, curvature_rhs
 from .distance import (
+    LazySignedDistance,
     signed_distance,
     zero_crossing_points,
     zero_set_thickness,
@@ -26,6 +27,7 @@ __all__ = [
     "evolve_mcf_levelset",
     "curvature_rhs",
     "signed_distance",
+    "LazySignedDistance",
     "zero_crossing_points",
     "zero_set_thickness",
     "extract_zero_set_csv",

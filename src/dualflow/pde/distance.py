@@ -7,9 +7,17 @@ higher dimensions. Distances are exact against that interpolated set
 field. Distance to a point cloud is accurate to O(spacing) near the
 interface, while the 2-D segment distance is smooth at O(spacing^2),
 which matters when the result is differentiated.
+
+`ZeroSet` is built once per field and evaluates the distance at any
+points; `signed_distance` applies it to every node. Checks that read
+only a band around the interface, or the nodes a path interpolates, use
+`LazySignedDistance`, which evaluates only the nodes it is asked for.
+Its values are identical to `signed_distance` node for node.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,7 +28,9 @@ from .field import ScalarField
 __all__ = [
     "zero_crossing_points",
     "zero_set_segments",
+    "ZeroSet",
     "signed_distance",
+    "LazySignedDistance",
     "extract_zero_set_csv",
     "zero_set_thickness",
 ]
@@ -129,21 +139,49 @@ def zero_set_segments(field: ScalarField) -> np.ndarray:
     return np.concatenate(segments, axis=0)
 
 
-def _distance_to_segments(points: np.ndarray, segments: np.ndarray, k_near: int = 12) -> np.ndarray:
-    mids = 0.5 * (segments[:, 0, :] + segments[:, 1, :])
-    tree = cKDTree(mids)
-    k = min(k_near, segments.shape[0])
-    _, idx = tree.query(points, k=k)
-    if k == 1:
-        idx = idx[:, None]
-    a = segments[idx, 0, :]  # (n, k, 2)
-    b = segments[idx, 1, :]
-    ab = b - a
-    denom = np.maximum(np.sum(ab * ab, axis=2), 1e-300)
-    t = np.clip(np.sum((points[:, None, :] - a) * ab, axis=2) / denom, 0.0, 1.0)
-    proj = a + t[:, :, None] * ab
-    d = np.linalg.norm(points[:, None, :] - proj, axis=2)
-    return d.min(axis=1)
+_K_NEAR = 12  # segment candidates per point, by midpoint distance
+
+
+class ZeroSet:
+    """The interpolated zero set of one field, built once and queried at
+    any points. Requires the field to change sign somewhere."""
+
+    def __init__(self, field: ScalarField):
+        self.dim = field.dim
+        self.half_max = None  # largest half segment length (2-D only)
+        if self.dim == 1:
+            self._cloud = zero_crossing_points(field)[:, 0]
+        elif self.dim == 2:
+            segments = zero_set_segments(field)
+            self._a = segments[:, 0, :]
+            self._ab = segments[:, 1, :] - self._a
+            self._len2 = np.maximum(np.sum(self._ab * self._ab, axis=1), 1e-300)
+            self.half_max = 0.5 * math.sqrt(float(self._len2.max()))
+            self.tree = cKDTree(0.5 * (segments[:, 0, :] + segments[:, 1, :]))
+        else:
+            self.tree = cKDTree(zero_crossing_points(field))
+
+    def distance(self, points: np.ndarray) -> np.ndarray:
+        """Unsigned distance from each of the (n, dim) points."""
+        if self.dim == 1:
+            return np.abs(points - self._cloud[None, :]).min(axis=1)
+        if self.dim > 2:
+            return self.tree.query(points, k=1)[0]
+        k = min(_K_NEAR, self._a.shape[0])
+        _, idx = self.tree.query(points, k=k)
+        if k == 1:
+            idx = idx[:, None]
+        a = self._a[idx]  # (n, k, 2)
+        ab = self._ab[idx]
+        t = np.clip(np.sum((points[:, None, :] - a) * ab, axis=2) / self._len2[idx], 0.0, 1.0)
+        off = points[:, None, :] - (a + t[:, :, None] * ab)
+        # sqrt is monotone and correctly rounded, so it commutes with the min
+        return np.sqrt(np.sum(off * off, axis=2).min(axis=1))
+
+
+def _node_sign(field: ScalarField) -> np.ndarray:
+    sign = np.sign(field.values.ravel())
+    return np.where(sign == 0, 0.0, sign)
 
 
 def signed_distance(field: ScalarField) -> ScalarField:
@@ -151,20 +189,62 @@ def signed_distance(field: ScalarField) -> ScalarField:
 
     Requires the field to change sign somewhere.
     """
-    coords = field.coordinates()
-    if field.dim == 1:
-        cloud = zero_crossing_points(field)
-        dist = np.abs(coords - cloud[:, 0][None, :]).min(axis=1)
-    elif field.dim == 2:
-        segments = zero_set_segments(field)
-        dist = _distance_to_segments(coords, segments)
-    else:
-        cloud = zero_crossing_points(field)
-        tree = cKDTree(cloud)
-        dist, _ = tree.query(coords, k=1)
-    sign = np.sign(field.values.ravel())
-    out = (dist * np.where(sign == 0, 0.0, sign)).reshape(field.values.shape)
+    dist = ZeroSet(field).distance(field.coordinates())
+    out = (dist * _node_sign(field)).reshape(field.values.shape)
     return ScalarField(field.dim, field.origin.copy(), field.spacing, out, field.time_stamp)
+
+
+class LazySignedDistance:
+    """`signed_distance(field)` evaluated only at the nodes that are read.
+
+    Every value equals the corresponding node of `signed_distance(field)`
+    bit for bit. `coords` is `field.coordinates()`, which fields on the
+    same grid can share.
+    """
+
+    def __init__(self, field: ScalarField, coords: np.ndarray):
+        self.field = field
+        self.zero_set = ZeroSet(field)
+        self.coords = coords
+        self._sign = _node_sign(field).astype(np.int8)
+        self._values = np.full(self._sign.size, np.nan)  # NaN until evaluated
+
+    def at(self, flat: np.ndarray) -> np.ndarray:
+        """Signed distance at the given flat (row-major) node indices."""
+        need = np.unique(flat[np.isnan(self._values[flat])])
+        if need.size:
+            dist = self.zero_set.distance(self.coords[need])
+            self._values[need] = dist * self._sign[need]
+        return self._values[flat]
+
+    def band(self, r0: float) -> np.ndarray:
+        """Flat mask of the nodes with |signed distance| < r0.
+
+        In 2-D the nearest segment midpoint bounds the distance from both
+        sides: it lies on the zero set, and no segment reaches further
+        than half the longest one from its midpoint. Only the nodes
+        between the two bounds are evaluated. Other dimensions evaluate
+        every node.
+        """
+        mask = self._sign == 0  # zero-valued nodes have signed distance 0
+        if self.zero_set.half_max is None:
+            shell = np.arange(mask.size)
+        else:
+            margin = 1e-9 * max(1.0, float(np.abs(self.coords).max()))  # rounding
+            reach = r0 + self.zero_set.half_max + margin
+            near, _ = self.zero_set.tree.query(self.coords, k=1, distance_upper_bound=reach)
+            mask |= near < r0 - margin
+            shell = np.flatnonzero(~mask & (near < reach))
+        mask[shell] = np.abs(self.at(shell)) < r0
+        return mask
+
+    def interp(self, points: np.ndarray) -> np.ndarray:
+        """Same as `signed_distance(field).interp(points)`."""
+        corners = self.field.interp_corners(points)
+        out = np.zeros(corners[0][1].shape[0])
+        for idx, weight in corners:
+            out += weight * self.at(np.ravel_multi_index(idx, self.field.values.shape))
+        return out
 
 
 def zero_set_thickness(field: ScalarField) -> float:

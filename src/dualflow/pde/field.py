@@ -62,8 +62,9 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.dim, self.origin.copy(), self.spacing, self.values.copy(), self.time_stamp)
 
-    def interp(self, points: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation; clamps to the grid hull."""
+    def interp_corners(self, points: np.ndarray) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+        """The 2**dim (grid index, weight) pairs that `interp` sums at
+        each point; points are clamped to the grid hull."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         rel = (pts - self.origin) / self.spacing
         shape = np.array(self.values.shape)
@@ -71,7 +72,7 @@ class ScalarField:
         base = np.floor(rel).astype(int)
         base = np.minimum(base, shape - 2)
         frac = rel - base
-        out = np.zeros(pts.shape[0])
+        corners = []
         for corner in range(2**self.dim):
             bits = [(corner >> k) & 1 for k in range(self.dim)]
             weight = np.ones(pts.shape[0])
@@ -79,7 +80,15 @@ class ScalarField:
             for k, b in enumerate(bits):
                 weight = weight * (frac[:, k] if b else 1.0 - frac[:, k])
                 idx.append(base[:, k] + b)
-            out += weight * self.values[tuple(idx)]
+            corners.append((tuple(idx), weight))
+        return corners
+
+    def interp(self, points: np.ndarray) -> np.ndarray:
+        """Multilinear interpolation; clamps to the grid hull."""
+        corners = self.interp_corners(points)
+        out = np.zeros(corners[0][1].shape[0])
+        for idx, weight in corners:
+            out += weight * self.values[idx]
         return out
 
     def nearest(self, points: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ from ..dualtree.estimate import VoteEstimate, estimate_vote_probability
 from ..dualtree.tree import BranchingSpec
 from ..models import ModelBundle
 from ..onedim import bbm1d_vote_prob
-from ..pde.curvature import evolve_mcf_levelset
-from ..pde.distance import signed_distance
+from ..pde.curvature import _first_derivs, _pad_neumann, evolve_mcf_levelset
+from ..pde.distance import LazySignedDistance, signed_distance
 from ..pde.field import ScalarField
 from ..pde.levelsets import curvature_envelope_fields, psi_alpha_sets
 from ..pde.reaction import solve_reaction_diffusion
@@ -565,6 +565,12 @@ def check_ito_coupling_drift(
     """
     if s <= 0 or s > t:
         raise ArgumentError("need 0 < s <= t")
+    if n_paths < 2:
+        raise ArgumentError("need n_paths >= 2 for a standard error")
+    if n_steps < 1:
+        raise ArgumentError("need n_steps >= 1")
+    if not (math.isfinite(band_r0) and band_r0 > 0):
+        raise ArgumentError("band_r0 must be finite and positive")
     if x is None:
         raise ArgumentError("starting point x is required")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -577,27 +583,24 @@ def check_ito_coupling_drift(
     with timed_report() as box:
         f_lower, _, _ = curvature_envelope_fields(phi)
         taus = t - np.linspace(0.0, s, n_steps + 1)  # backward times along the path
+        coords = phi.coordinates()
+        # distances are evaluated only at the band shell and at the
+        # nodes the paths interpolate
         dists = []
-        grads = []
+        L = 0.0  # sup |D psi| over the band, all slices
         for tau in taus:
             psi = ScalarField(dim, phi.origin.copy(), phi.spacing, phi.values - tau * (f_lower - alpha), tau)
-            dfield = signed_distance(psi)
-            dists.append(dfield)
-            from ..pde.curvature import _first_derivs, _pad_neumann
-
-            up = _pad_neumann(psi.values)
-            d1 = _first_derivs(up, phi.spacing, dim)
-            grads.append(np.sqrt(sum(g * g for g in d1)))
+            dist = LazySignedDistance(psi, coords)
+            dists.append(dist)
+            band = dist.band(band_r0)
+            if band.any():
+                d1 = _first_derivs(_pad_neumann(psi.values), phi.spacing, dim)
+                grad = np.sqrt(sum(g * g for g in d1)).ravel()
+                L = max(L, float(grad[band].max()))
 
         d0 = float(dists[0].interp(x[None, :])[0])
         if abs(d0) >= band_r0:
             raise ArgumentError(f"x starts outside the band (|d|={abs(d0):.3g} >= {band_r0})")
-        # L = sup |D psi| over the band, all slices
-        L = 0.0
-        for dfield, g in zip(dists, grads):
-            band = np.abs(dfield.values) < band_r0
-            if band.any():
-                L = max(L, float(g[band].max()))
         if L <= 0:
             raise ArgumentError("gradient bound L vanished on the band")
 

@@ -46,6 +46,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, cfg))
 
+    def test_ito_drift_single_path_exits_2(self, tmp_path):
+        cfg = dict(BASE, checks=[{"name": "ito_coupling_drift", "params": {"n_paths": 1}}])
+        out = tmp_path / "out"
+        assert run(str(write_cfg(tmp_path, cfg)), out_dir=str(out)) == 2
+        assert not (out / "reports.jsonl").exists()
+
     def test_bad_json_diagnostics(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{");

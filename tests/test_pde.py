@@ -6,6 +6,7 @@ import pytest
 from dualflow.errors import ArgumentError
 from dualflow.gfunction import kernel_g, majority_kernel
 from dualflow.pde import (
+    LazySignedDistance,
     ScalarField,
     check_distance_supersolution,
     evolve_mcf_levelset,
@@ -144,6 +145,70 @@ class TestSignedDistance:
         f = field_from_function(lambda P: np.sum(P**2, axis=1) + 1.0, origin=[-1, -1], spacing=2 / 31, extents=[32, 32])
         with pytest.raises(ArgumentError):
             signed_distance(f)
+
+
+def _distance_cases():
+    """Fields covering every ZeroSet branch: 1-D crossings, 2-D circle,
+    plane, a saddle cell, a single segment (k == 1), a zero-valued node
+    away from the interface, and a 3-D sphere."""
+    one_segment = np.ones((3, 3))
+    one_segment[0, 0] = -1.0
+    touching = np.ones((9, 9))
+    touching[:2, :] = -1.0
+    touching[7, 7] = 0.0  # a zero node far from any sign change
+    return {
+        "line1d": field_from_function(
+            lambda P: P[:, 0] ** 2 - 0.25, origin=[-1.0], spacing=2 / 99, extents=[100]
+        ),
+        "circle": circle_field(n=64, half=2.0),
+        "plane": field_from_function(
+            lambda P: P[:, 0] + 0.3 * P[:, 1], origin=[-1, -1], spacing=2 / 47, extents=[48, 48]
+        ),
+        "saddle": field_from_function(
+            lambda P: P[:, 0] * P[:, 1], origin=[-1.01, -1.02], spacing=0.1, extents=[21, 21]
+        ),
+        "one_segment": ScalarField(2, np.zeros(2), 0.5, one_segment),
+        "touching_zero": ScalarField(2, np.zeros(2), 0.25, touching),
+        "sphere3d": field_from_function(
+            lambda P: np.linalg.norm(P, axis=1) - 1.0, origin=[-2, -2, -2], spacing=4 / 15, extents=[16] * 3
+        ),
+    }
+
+
+class TestLazySignedDistance:
+    @pytest.mark.parametrize("name", sorted(_distance_cases()))
+    def test_node_subsets_match_signed_distance(self, name):
+        f = _distance_cases()[name]
+        full = signed_distance(f).values.ravel()
+        lazy = LazySignedDistance(f, f.coordinates())
+        rng = np.random.default_rng(3)
+        for size in (1, full.size // 7, full.size):
+            nodes = rng.choice(full.size, size=size, replace=True)
+            assert np.array_equal(lazy.at(nodes), full[nodes])
+        assert np.array_equal(lazy.at(np.arange(full.size)), full)
+
+    @pytest.mark.parametrize("name", sorted(_distance_cases()))
+    def test_band_mask_matches_signed_distance(self, name):
+        f = _distance_cases()[name]
+        full = np.abs(signed_distance(f).values.ravel())
+        for r0 in (1e-3, 0.05, 0.25, 0.5, 1.5):
+            assert np.array_equal(LazySignedDistance(f, f.coordinates()).band(r0), full < r0)
+
+    def test_band_evaluates_a_thin_shell(self):
+        f = circle_field(n=128, half=2.0)
+        lazy = LazySignedDistance(f, f.coordinates())
+        lazy.band(0.25)
+        evaluated = np.count_nonzero(~np.isnan(lazy._values))
+        assert 0 < evaluated < 0.1 * f.values.size
+
+    @pytest.mark.parametrize("name", ["line1d", "circle", "saddle", "sphere3d"])
+    def test_interp_matches_signed_distance(self, name):
+        f = _distance_cases()[name]
+        rng = np.random.default_rng(5)
+        lo = f.origin - f.spacing
+        hi = f.origin + f.spacing * np.array(f.values.shape)
+        pts = rng.uniform(lo, hi, size=(500, f.dim))
+        assert np.array_equal(LazySignedDistance(f, f.coordinates()).interp(pts), signed_distance(f).interp(pts))
 
 
 class TestPsiAlpha:

@@ -156,6 +156,80 @@ class TestItoDrift:
                 circle_phi(half=2.0), 1.0, 0.05, 0.03, 0.1, 100, 2, x=[1.9, 0.0]
             )
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n_paths": 1},
+            {"n_paths": 0},
+            {"n_steps": 0},
+            {"band_r0": 0.0},
+            {"band_r0": -0.5},
+            {"band_r0": math.nan},
+            {"band_r0": math.inf},
+        ],
+    )
+    def test_bad_arguments_rejected(self, override):
+        kw = dict(alpha=0.0, t=0.1, s=0.05, band_r0=0.5, n_paths=100, rng_seed=2, x=[0.0, 0.0])
+        kw.update(override)
+        with pytest.raises(ArgumentError):
+            check_ito_coupling_drift(plane_phi(), **kw)
+
+    # Reports recorded before distances were evaluated lazily; the lazy
+    # evaluation must reproduce them exactly.
+    PINNED = {
+        "planar": {
+            "name": "ito_coupling_drift",
+            "inputs": {"alpha": 0.0, "t": 0.1, "s": 0.05, "band_r0": 0.5, "n_paths": 300, "n_steps": 64, "x": [0.0, 0.0]},
+            "statistic": 0.011936623657972824,
+            "threshold": 0.08399285915933749,
+            "passed": True,
+            "budget": {
+                "mc_4sigma": 0.05249679616721151,
+                "discretization": 0.031496062992125984,
+                "L": 1.0000000000000053,
+                "mean_stop_time": 0.04935677083333333,
+                "d0": -2.7755575615628914e-17,
+                "mean_d_final": 0.011936623657972796,
+            },
+            "seed": 2,
+            "notes": [],
+            "reference": "distance along Brownian paths drifts down at rate alpha/(4L)",
+        },
+        "circular": {
+            "name": "ito_coupling_drift",
+            "inputs": {"alpha": 1.0, "t": 0.05, "s": 0.03, "band_r0": 0.25, "n_paths": 300, "n_steps": 64, "x": [1.05, 0.0]},
+            "statistic": -0.00936653959333783,
+            "threshold": 0.06752949213787221,
+            "passed": True,
+            "budget": {
+                "mc_4sigma": 0.03603342914574622,
+                "discretization": 0.031496062992125984,
+                "L": 2.4562890845159675,
+                "mean_stop_time": 0.02536875,
+                "d0": 0.10157152230971062,
+                "mean_d_final": 0.08962296273347253,
+            },
+            "seed": 2,
+            "notes": [],
+            "reference": "distance along Brownian paths drifts down at rate alpha/(4L)",
+        },
+    }
+
+    @pytest.mark.parametrize("case", ["planar", "circular"])
+    def test_reports_pinned(self, case):
+        if case == "planar":
+            rep = check_ito_coupling_drift(
+                plane_phi(), alpha=0.0, t=0.1, s=0.05, band_r0=0.5, n_paths=300, rng_seed=2, x=[0.0, 0.0]
+            )
+        else:
+            rep = check_ito_coupling_drift(
+                circle_phi(half=2.0), alpha=1.0, t=0.05, s=0.03, band_r0=0.25,
+                n_paths=300, rng_seed=2, x=[1.05, 0.0],
+            )
+        got = json.loads(rep.to_json())
+        got.pop("runtime")
+        assert got == self.PINNED[case]
+
 
 class TestDiffusivity:
     def test_brownian_exact(self, bbm1):
