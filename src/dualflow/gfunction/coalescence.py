@@ -8,6 +8,11 @@ with a uniformly chosen marked representative per block, is the object
 of interest: its distribution weights the per-partition g-functions
 into the effective g of the nonlinear voter model.
 
+The walk is simulated pass by pass, one jump per running sample per
+pass, on compact arrays that hold only the samples still running; it
+makes the same random draws, in the same order, as the plain
+event-driven definition, so results are identical draw for draw.
+
 Infinite horizons are approximated by a finite cutoff that doubles
 until the no-coalescence weight moves by less than ``stall_tol`` (the
 weight is monotone in the horizon along fixed paths, so the doubling
@@ -118,60 +123,96 @@ def _run_coalescing(
 ) -> None:
     """Advance all samples to time t_end in place.
 
-    Event-driven and batched: each pass applies one jump to every
-    still-running sample; samples whose clock has reached t_end or whose
-    walkers have fully merged are compacted away. ``rep`` is kept
-    canonical (every entry points at its cluster's minimal index), so
-    merges are single relabelings.
+    Event-driven and batched: each pass draws one exponential clock per
+    still-running sample and applies one jump to every sample whose
+    clock fires before t_end. ``rep`` is kept canonical (every entry
+    points at its cluster's minimal index), so merges are single
+    relabelings.
+
+    Only the running samples are touched, through compact copies kept in
+    their original row order and stored walker-major, so each numpy
+    inner loop runs over samples rather than over the m walkers:
+    positions ``P`` (dim, m, nr), labels ``R`` and active masks ``A``
+    (m, nr), clocks ``T``, active counts ``K`` and total rates
+    ``K * jump_rate`` (nr,), and ``order`` (m, nr), each sample's active
+    walkers first in ascending index, so the u-th active walker is
+    ``order[u, row]``. A sample is written back to ``pos``/``rep``/``t``
+    when its clock reaches t_end or its walkers have fully merged; the
+    compact arrays are rebuilt only then.
+
+    The draws (kind, size, order and arguments) are those of the plain
+    one-jump-per-pass definition: ``exponential(1, nr) / (k * jump_rate)``
+    over the running samples, then, over the firing ones,
+    ``integers(0, k)`` for the walker and ``integers(0, 2 * dim)`` for
+    the direction.
     """
     n, m, dim = pos.shape
-    ar_m = np.arange(m)
-    rows = np.arange(n)
+    ar_n = np.arange(n)
+    labels = np.arange(m)[:, None]
+    k = (rep == labels.T).sum(axis=1)
+    running = (t < t_end) & (k > 1)
+    t[~running] = np.maximum(t[~running], t_end)
+    rows = np.flatnonzero(running)
+    P = np.ascontiguousarray(pos[rows].transpose(2, 1, 0))
+    R = np.ascontiguousarray(rep[rows].T)
+    A = R == labels
+    T, K = t[rows], k[rows]
+    rate = K * jump_rate
+    order = np.argsort(~A, axis=0, kind="stable")
     while rows.size:
-        active = rep[rows] == ar_m[None, :]
-        k = active.sum(axis=1)
-        running = (t[rows] < t_end) & (k > 1)
-        finished = rows[~running]
-        t[finished] = np.maximum(t[finished], t_end)
-        rows = rows[running]
-        if rows.size == 0:
-            return
-        active = active[running]
-        k = k[running]
         nr = rows.size
+        proposal = T + rng.exponential(1.0, size=nr) / rate
+        all_fire = bool((proposal < t_end).all())
+        if all_fire:
+            T = proposal
+            fi = ar_n[:nr]
+            Kf = K
+        else:
+            T = np.minimum(proposal, t_end)
+            fi = np.flatnonzero(proposal <= t_end)
+            Kf = K[fi]
+        merged = False
+        nf = fi.size
+        if nf:
+            # pick one active cluster representative uniformly per sample
+            walker = order[rng.integers(0, Kf), fi]
+            direction = rng.integers(0, 2 * dim, size=nf)
+            cell = walker * nr + fi
+            P.reshape(-1)[(direction >> 1) * (m * nr) + cell] += 1 - 2 * (direction & 1)
 
-        dt = rng.exponential(1.0, size=nr) / (k * jump_rate)
-        proposal = t[rows] + dt
-        fire = proposal <= t_end
-        t[rows] = np.minimum(proposal, t_end)
-        if not fire.any():
+            # coalescence: the jump landed on another representative's
+            # site; the moved walker itself matches once per sample
+            newpos = P.reshape(dim, -1).take(cell, axis=1)
+            Pf, hits = (P, A.copy()) if all_fire else (P.take(fi, axis=2), A.take(fi, axis=1))
+            for axis in range(dim):
+                hits &= Pf[axis] == newpos[axis]
+            if np.count_nonzero(hits) > nf:
+                merged = True
+                hits[walker, ar_n[:nf]] = False
+                hit = np.flatnonzero(hits.any(axis=0))
+                rr = fi[hit]
+                partner = np.argmax(hits[:, hit], axis=0)
+                w = walker[hit]
+                lo = np.minimum(R[w, rr], R[partner, rr])
+                hi = np.maximum(R[w, rr], R[partner, rr])
+                sub = R[:, rr]
+                np.putmask(sub, sub == hi, np.broadcast_to(lo, sub.shape))
+                R[:, rr] = sub
+                A[:, rr] = sub == labels
+                K[rr] = A[:, rr].sum(axis=0)
+                rate[rr] = K[rr] * jump_rate
+                order[:, rr] = np.argsort(~A[:, rr], axis=0, kind="stable")
+        if all_fire and not merged:
             continue
-        frows = rows[fire]
-        af = active[fire]
-        nf = frows.size
-
-        # pick one active cluster representative uniformly per sample
-        u = rng.integers(0, k[fire])
-        walker = np.argmax(np.cumsum(af, axis=1) == (u + 1)[:, None], axis=1)
-        direction = rng.integers(0, 2 * dim, size=nf)
-        axis = direction >> 1
-        sign = np.where(direction & 1, -1, 1).astype(np.int64)
-        pos[frows, walker, axis] += sign
-
-        # coalescence: the jump landed on another representative's site
-        newpos = pos[frows, walker, :]
-        af[np.arange(nf), walker] = False
-        hits = np.all(pos[frows] == newpos[:, None, :], axis=2) & af
-        hit_any = hits.any(axis=1)
-        if hit_any.any():
-            rr = frows[hit_any]
-            partner = np.argmax(hits[hit_any], axis=1)
-            w = walker[hit_any]
-            lo = np.minimum(rep[rr, w], rep[rr, partner])
-            hi = np.maximum(rep[rr, w], rep[rr, partner])
-            sub = rep[rr]
-            np.putmask(sub, sub == hi[:, None], np.broadcast_to(lo[:, None], sub.shape))
-            rep[rr] = sub
+        keep = (T < t_end) & (K > 1)
+        if keep.all():
+            continue
+        done = ~keep
+        pos[rows[done]] = np.compress(done, P, axis=2).transpose(2, 1, 0)
+        rep[rows[done]] = np.compress(done, R, axis=1).T
+        t[rows[done]] = np.maximum(T[done], t_end)
+        rows, T, K, rate = rows[keep], T[keep], K[keep], rate[keep]
+        P, R, A, order = (np.compress(keep, x, axis=-1) for x in (P, R, A, order))
 
 
 def sample_coalescent_partitions(
@@ -194,8 +235,12 @@ def sample_coalescent_partitions(
     """
     if n_samples <= 0:
         raise ArgumentError("n_samples must be positive")
-    if jump_rate <= 0:
-        raise ArgumentError("jump_rate must be positive")
+    if not 0 < jump_rate < math.inf:
+        raise ArgumentError("jump_rate must be positive and finite")
+    if not horizon >= 0:
+        raise ArgumentError("horizon must be nonnegative (inf for the infinite horizon)")
+    if not 0 < initial_cutoff <= max_cutoff < math.inf:
+        raise ArgumentError("cutoffs must satisfy 0 < initial_cutoff <= max_cutoff < inf")
     pos = _as_starts(start, dim, n_samples)
     m = pos.shape[1]
     rep = np.tile(np.arange(m), (n_samples, 1))
@@ -204,8 +249,6 @@ def sample_coalescent_partitions(
     notes: list[str] = []
 
     if math.isfinite(horizon):
-        if horizon < 0:
-            raise ArgumentError("horizon must be nonnegative")
         _run_coalescing(pos, rep, t, horizon, jump_rate, rng)
         return rep, float(horizon), notes
 
@@ -292,6 +335,10 @@ def sample_box_offsets(
     """
     side = 2 * L + 1
     n_sites = side**dim
+    if L < 1 or n_sites - 1 < 4:
+        raise ArgumentError(
+            f"the box [-{L}, {L}]^{dim} has fewer than four nonzero sites"
+        )
     origin_flat = (n_sites - 1) // 2
     out = np.zeros((n_samples, 5, dim), dtype=np.int64)
     need = np.arange(n_samples)

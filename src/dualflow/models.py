@@ -20,6 +20,7 @@ from .gfunction.coalescence import (
     _labels_to_partition,
     coalescence_partition_distribution,
     gbar,
+    sample_box_offsets,
     sample_coalescent_partitions,
 )
 from .gfunction.gfun import GFunction, find_fixed_points, kernel_g, verify_g_axioms
@@ -428,31 +429,12 @@ def nonlinear_voter_dual(
     geff.report = verify_g_axioms(geff)
 
     kern = NlvPartitionKernel(a1, a2, a3, a4, dim, coalescence_horizon, float(dim))
-    side = 2 * L + 1
-    n_sites = side**dim
-    origin_flat = (n_sites - 1) // 2
-
-    def _distinct_box_sites(m: int, rng: np.random.Generator) -> np.ndarray:
-        flat = np.zeros((m, 4), dtype=np.int64)
-        need = np.arange(m)
-        while need.size:
-            draw = rng.integers(0, n_sites, size=(need.size, 4))
-            ok = (draw != origin_flat).all(axis=1)
-            srt = np.sort(draw, axis=1)
-            ok &= (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-            flat[need[ok]] = draw[ok]
-            need = need[~ok]
-        offs = np.zeros((m, 4, dim), dtype=np.int64)
-        for axis in range(dim):
-            offs[:, :, dim - 1 - axis] = flat % side - L
-            flat = flat // side
-        return offs
 
     def dispersal(parents: np.ndarray, rng: np.random.Generator):
         m = parents.shape[0]
         out = np.empty((m, 5, dim))
         out[:, 0, :] = parents
-        offs = _distinct_box_sites(m, rng)
+        offs = sample_box_offsets(L, dim, m, rng)[:, 1:, :]
         out[:, 1:, :] = parents[:, None, :] + offs.astype(float) * mesh
         return out
 
