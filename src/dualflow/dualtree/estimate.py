@@ -42,7 +42,7 @@ class VoteEstimate:
 
 def estimate_vote_probability(
     spec: BranchingSpec,
-    kernel: VotingKernel,
+    kernel: Optional[VotingKernel],
     x,
     t: float,
     p: Callable[[np.ndarray], np.ndarray],

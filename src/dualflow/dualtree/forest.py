@@ -30,7 +30,7 @@ __all__ = ["forest_root_params", "ForestResult"]
 class _Wave:
     is_leaf: np.ndarray  # (n_w,) bool
     leaf_positions: Optional[np.ndarray]  # (n_leaves, dim)
-    decorations: Optional[list]  # per internal vertex, or None
+    decorations: Optional[np.ndarray]  # one row per internal vertex, or None
 
 
 @dataclass
@@ -46,7 +46,7 @@ def forest_root_params(
     x0,
     t: float,
     leaf_prob: Callable[[np.ndarray], np.ndarray],
-    kernel: VotingKernel,
+    kernel: Optional[VotingKernel],
     n_samples: int,
     rng: np.random.Generator,
     max_vertices: int = DEFAULT_VERTEX_BUDGET,
@@ -55,12 +55,14 @@ def forest_root_params(
     """Exact per-tree root vote parameters for an ensemble of trees.
 
     ``leaf_prob`` must map an (m, dim) position array to m probabilities.
-    ``combine`` overrides the kernel's vectorized parameter combination
-    (used by decorated kernels); it receives (child_params (m, N0),
-    decorations, rng).
+    ``combine`` replaces the kernel's ``combine_params``; it receives
+    (child_params (m, N0), the wave's ``spec.decoration_fn`` rows or
+    None, rng). Decorations reach nothing else.
     """
     if n_samples < 1:
         raise ArgumentError("n_samples must be positive")
+    if kernel is None and combine is None:
+        raise ArgumentError("a voting kernel or a forest combiner is required")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (spec.dim,):
         raise ArgumentError(f"start point must have dimension {spec.dim}")
@@ -126,7 +128,7 @@ def forest_root_params(
             if combine is not None:
                 params[~wave.is_leaf] = combine(child, wave.decorations, rng)
             else:
-                params[~wave.is_leaf] = kernel.combine_params(child, wave.decorations)
+                params[~wave.is_leaf] = kernel.combine_params(child)
         params_next = params
     return ForestResult(
         root_params=params_next,

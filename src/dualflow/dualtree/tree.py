@@ -69,7 +69,7 @@ class Vertex:
     birth_time: float
     death_time: float
     position_at_death: np.ndarray
-    decoration: object = None
+    decoration: Optional[np.ndarray] = None  # the event's decoration_fn row
 
 
 @dataclass
@@ -130,7 +130,7 @@ class TimeLabelledTree:
                 "position": [float(x) for x in np.atleast_1d(v.position_at_death)],
             }
             if v.decoration is not None:
-                rec["decoration"] = _encode_decoration(v.decoration)
+                rec["decoration"] = {"__array__": v.decoration.tolist()}
             return rec
 
         return json.dumps(
@@ -156,25 +156,14 @@ class TimeLabelledTree:
             root_start=np.array(data["root_start"], dtype=float),
         )
         for rec in data["vertices"]:
+            dec = rec.get("decoration")
             tree.vertices[UlamIndex(tuple(rec["path"]))] = Vertex(
                 birth_time=rec["birth"],
                 death_time=rec["death"],
                 position_at_death=np.array(rec["position"], dtype=float),
-                decoration=_decode_decoration(rec.get("decoration")),
+                decoration=None if dec is None else np.array(dec["__array__"]),
             )
         return tree
-
-
-def _encode_decoration(dec) -> object:
-    if isinstance(dec, np.ndarray):
-        return {"__array__": dec.tolist()}
-    return dec
-
-
-def _decode_decoration(dec):
-    if isinstance(dec, dict) and "__array__" in dec:
-        return np.array(dec["__array__"])
-    return dec
 
 
 @dataclass
@@ -185,8 +174,9 @@ class BranchingSpec:
     per-row durations to (n, dim) endpoints; ``dispersal(parents, rng)``
     maps (n, dim) branch locations to (n, n_children, dim) offspring
     positions. Both must be vectorized over the leading axis.
-    ``decoration_fn(parents, offspring, rng)``, when set, produces one
-    opaque decoration per branching event (a list of length n).
+    ``decoration_fn(parents, offspring, rng)``, when set, returns an array
+    with one row per branching event (leading axis n); the rows reach
+    only the model's forest combiner and the tree's vertex records.
     """
 
     dim: int
@@ -196,7 +186,7 @@ class BranchingSpec:
     dispersal: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     label: str = ""
     epsilon: float = float("nan")
-    decoration_fn: Optional[Callable[..., list]] = None
+    decoration_fn: Optional[Callable[..., np.ndarray]] = None
     dispersal_support_bound: Optional[float] = None  # max-norm bound, if finite-range
 
     def __post_init__(self):
@@ -286,20 +276,10 @@ def root_vote_prob_exact(
             params[u] = _leaf_prob(leaf_prob, tree.vertices[u].position_at_death)
         else:
             child_params = [params[c] for c in tree.children_of(u)]
-            decoration = tree.vertices[u].decoration
             if isinstance(g, GFunction):
-                params[u] = g.multi(child_params) if decoration is None else g.multi(
-                    child_params, decoration
-                )
+                params[u] = g.multi(child_params)
             else:
-                if getattr(g, "requires_decoration", False) and decoration is None:
-                    raise ArgumentError(f"kernel requires a decoration at {u}")
-                params[u] = float(
-                    g.combine_params(
-                        np.array([child_params]),
-                        None if decoration is None else [decoration],
-                    )[0]
-                )
+                params[u] = float(g.combine_params(np.array([child_params]))[0])
     return params[ROOT]
 
 
@@ -311,6 +291,28 @@ def sample_vote(
 ) -> int:
     """One bottom-up sampled evaluation of the voting algorithm."""
     return int(sample_votes_batch(tree, leaf_votes, kernel, 1, rng_seed)[0])
+
+
+def _thin_up(
+    tree: TimeLabelledTree,
+    votes: dict[UlamIndex, np.ndarray],
+    kernel: VotingKernel,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Fill in the internal vertices' votes, deepest first, from the leaf
+    votes already in ``votes``; returns the root's votes. Deterministic
+    kernels draw nothing, random ones one Bernoulli thinning per vertex."""
+    for u in sorted(tree.vertices, key=lambda u: u.depth, reverse=True):
+        if u in votes:
+            continue
+        stacked = np.stack([votes[c] for c in tree.children_of(u)], axis=1)
+        thetas = kernel.theta_batch(stacked)
+        if kernel.is_deterministic:
+            votes[u] = thetas.astype(np.int8)
+        else:
+            votes[u] = (rng.random(n_samples) < thetas).astype(np.int8)
+    return votes[ROOT]
 
 
 def sample_votes_batch(
@@ -326,27 +328,17 @@ def sample_votes_batch(
     thinning. Deterministic kernels give constant output. Vectorized
     over the sample axis, one pass per vertex.
     """
-    leaves = set(tree.leaves())
-    missing = leaves - set(leaf_votes)
+    leaves = tree.leaves()
+    missing = set(leaves) - set(leaf_votes)
     if missing:
         raise ArgumentError(f"missing leaf votes for {sorted(map(str, missing))[:3]} ...")
-    rng = derive_rng(rng_seed, 0xB07E)
     votes: dict[UlamIndex, np.ndarray] = {}
-    order = sorted(tree.vertices, key=lambda u: u.depth, reverse=True)
-    for u in order:
-        if u in leaves:
-            v = int(leaf_votes[u])
-            if v not in (0, 1):
-                raise ArgumentError(f"leaf vote at {u} must be 0 or 1")
-            votes[u] = np.full(n_samples, v, dtype=np.int8)
-        else:
-            stacked = np.stack([votes[c] for c in tree.children_of(u)], axis=1)
-            thetas = kernel.theta_batch(stacked, tree.vertices[u].decoration)
-            if kernel.is_deterministic:
-                votes[u] = thetas.astype(np.int8)
-            else:
-                votes[u] = (rng.random(n_samples) < thetas).astype(np.int8)
-    return votes[ROOT]
+    for u in leaves:
+        v = int(leaf_votes[u])
+        if v not in (0, 1):
+            raise ArgumentError(f"leaf vote at {u} must be 0 or 1")
+        votes[u] = np.full(n_samples, v, dtype=np.int8)
+    return _thin_up(tree, votes, kernel, n_samples, derive_rng(rng_seed, 0xB07E))
 
 
 def sample_root_votes(
@@ -361,23 +353,11 @@ def sample_root_votes(
     the tree. The mean over replicates estimates the same quantity that
     root_vote_prob_exact computes in closed form on this tree."""
     rng = derive_rng(rng_seed, 0xF077)
-    leaves = tree.leaves()
     votes: dict[UlamIndex, np.ndarray] = {}
-    for u in leaves:
+    for u in tree.leaves():
         p = _leaf_prob(leaf_prob, tree.vertices[u].position_at_death)
         votes[u] = (rng.random(n_samples) < p).astype(np.int8)
-    order = sorted(tree.vertices, key=lambda u: u.depth, reverse=True)
-    leaf_set = set(leaves)
-    for u in order:
-        if u in leaf_set:
-            continue
-        stacked = np.stack([votes[c] for c in tree.children_of(u)], axis=1)
-        thetas = kernel.theta_batch(stacked, tree.vertices[u].decoration)
-        if kernel.is_deterministic:
-            votes[u] = thetas.astype(np.int8)
-        else:
-            votes[u] = (rng.random(n_samples) < thetas).astype(np.int8)
-    return votes[ROOT]
+    return _thin_up(tree, votes, kernel, n_samples, rng)
 
 
 @dataclass

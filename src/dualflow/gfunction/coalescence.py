@@ -285,6 +285,21 @@ def _labels_to_partition(labels: np.ndarray, rng: np.random.Generator) -> Marked
     return MarkedPartition(ordered, marks)
 
 
+def _partition_frequencies(
+    rep: np.ndarray, rng: np.random.Generator
+) -> tuple[dict[MarkedPartition, float], dict[MarkedPartition, float]]:
+    """Empirical marked-partition weights of the label rows, with their
+    binomial standard errors; marks are drawn row by row."""
+    n = rep.shape[0]
+    counts: dict[MarkedPartition, int] = {}
+    for s in range(n):
+        part = _labels_to_partition(rep[s], rng)
+        counts[part] = counts.get(part, 0) + 1
+    weights = {p: c / n for p, c in counts.items()}
+    stderr = {p: math.sqrt(w * (1.0 - w) / n) for p, w in weights.items()}
+    return weights, stderr
+
+
 def coalescence_partition_distribution(
     start: Sequence,
     dim: int,
@@ -304,14 +319,7 @@ def coalescence_partition_distribution(
     rep, eff_horizon, notes = sample_coalescent_partitions(
         start, dim, horizon, jump_rate, n_samples, rng, stall_tol=stall_tol
     )
-    counts: dict[MarkedPartition, int] = {}
-    for s in range(n_samples):
-        part = _labels_to_partition(rep[s], rng)
-        counts[part] = counts.get(part, 0) + 1
-    weights = {p: c / n_samples for p, c in counts.items()}
-    stderr = {
-        p: math.sqrt(w * (1.0 - w) / n_samples) for p, w in weights.items()
-    }
+    weights, stderr = _partition_frequencies(rep, rng)
     start_arr = np.asarray(start, dtype=np.int64)
     return PartitionDistribution(
         dim=dim,
@@ -387,12 +395,7 @@ def gbar(
     rep, eff_horizon, notes = sample_coalescent_partitions(
         starts, dim, horizon, jump_rate, n_samples, rng, stall_tol=stall_tol
     )
-    counts: dict[MarkedPartition, int] = {}
-    for s in range(n_samples):
-        part = _labels_to_partition(rep[s], rng)
-        counts[part] = counts.get(part, 0) + 1
-    weights = {p: c / n_samples for p, c in counts.items()}
-    stderr = {p: math.sqrt(w * (1 - w) / n_samples) for p, w in weights.items()}
+    weights, stderr = _partition_frequencies(rep, rng)
 
     coeffs = np.zeros(6)
     for part, w in weights.items():

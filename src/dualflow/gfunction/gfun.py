@@ -108,19 +108,15 @@ class GFunction:
         p = np.clip(p, 0.0, 1.0)
         return self._univariate(p)
 
-    def multi(self, probs: Sequence[float], decoration: object = None) -> float:
-        if decoration is not None:
-            raise ArgumentError("this g-function takes no decoration")
+    def multi(self, probs: Sequence[float]) -> float:
         return self._multivariate(probs)
 
-    def combine_params(self, child_params: np.ndarray, decorations=None, rng=None) -> np.ndarray:
+    def combine_params(self, child_params: np.ndarray) -> np.ndarray:
         """Row-wise multivariate evaluation of an (m, n_children) matrix.
 
         Rows with equal entries short-circuit through the univariate map.
         """
         child_params = np.asarray(child_params, dtype=float)
-        if decorations is not None:
-            raise ArgumentError("this g-function takes no decoration")
         constant = np.all(child_params == child_params[:, :1], axis=1)
         out = np.empty(child_params.shape[0])
         if constant.any():
@@ -170,7 +166,7 @@ class GFunction:
 
 
 def kernel_g(kernel: VotingKernel, label: str = "", report: Optional[GAxiomReport] = None) -> GFunction:
-    """GFunction induced by a (non-decorated) voting kernel.
+    """GFunction induced by a voting kernel.
 
     The univariate map is the diagonal of the exact multivariate
     enumeration, so tree recursions and iterate_g agree bit for bit.

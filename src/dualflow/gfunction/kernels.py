@@ -1,13 +1,14 @@
 """Voting kernels: the map from child votes to a parent Bernoulli parameter.
 
-A kernel Theta takes a {0,1}-vector of child votes (and optionally a
-per-vertex decoration) and returns the probability that the parent votes 1.
-Theta must be nondecreasing in every vote coordinate.
+A kernel Theta takes a {0,1}-vector of child votes and returns the
+probability that the parent votes 1. Theta must be nondecreasing in every
+vote coordinate. Kernels never see per-vertex decorations: a model whose
+vote depends on one supplies its own forest combiner instead.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,21 +34,15 @@ class VotingKernel:
 
     n_children: int
     is_deterministic: bool
-    requires_decoration: bool = False
 
-    def theta(self, votes: Sequence[int], decoration: object = None) -> float:
+    def theta(self, votes: Sequence[int]) -> float:
         raise NotImplementedError
 
-    def theta_batch(self, votes: np.ndarray, decoration: object = None) -> np.ndarray:
+    def theta_batch(self, votes: np.ndarray) -> np.ndarray:
         """theta applied row-wise to an (m, n_children) vote matrix."""
-        return np.array([self.theta(row, decoration) for row in votes], dtype=float)
+        return np.array([self.theta(row) for row in votes], dtype=float)
 
-    def combine_params(
-        self,
-        child_params: np.ndarray,
-        decorations: Optional[list] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
+    def combine_params(self, child_params: np.ndarray) -> np.ndarray:
         """Vectorized parent parameters from (m, n_children) child parameters.
 
         Computes, row by row, the expectation of theta over independent
@@ -64,12 +59,7 @@ class VotingKernel:
             weight = np.ones(m)
             for i, v in enumerate(votes):
                 weight = weight * (child_params[:, i] if v else 1.0 - child_params[:, i])
-            if decorations is None:
-                theta = self.theta(votes)
-                out += theta * weight
-            else:
-                thetas = np.array([self.theta(votes, d) for d in decorations], dtype=float)
-                out += thetas * weight
+            out += self.theta(votes) * weight
         return out
 
 
@@ -97,12 +87,12 @@ class ExchangeableKernel(VotingKernel):
         self.is_deterministic = all(v in (0.0, 1.0) for v in levels)
         self.label = label
 
-    def theta(self, votes: Sequence[int], decoration: object = None) -> float:
+    def theta(self, votes: Sequence[int]) -> float:
         if len(votes) != self.n_children:
             raise ArgumentError(f"expected {self.n_children} votes, got {len(votes)}")
         return float(self.levels[int(np.sum(votes))])
 
-    def theta_batch(self, votes: np.ndarray, decoration: object = None) -> np.ndarray:
+    def theta_batch(self, votes: np.ndarray) -> np.ndarray:
         return self.levels[votes.sum(axis=1)]
 
     def __repr__(self):
@@ -118,15 +108,11 @@ def majority_kernel(n_children: int = 3) -> ExchangeableKernel:
     return ExchangeableKernel(levels, label=f"majority{n_children}")
 
 
-def eval_multivariate_g(
-    kernel: VotingKernel,
-    probs: Sequence[float],
-    decoration: object = None,
-) -> float:
+def eval_multivariate_g(kernel: VotingKernel, probs: Sequence[float]) -> float:
     """Expected theta over independent Bernoulli(probs) votes.
 
-    Exact enumeration over all 2**n_children vote vectors; requires
-    n_children <= 16.
+    One row of ``kernel.combine_params``, the exact enumeration over all
+    2**n_children vote vectors; requires n_children <= 16.
     """
     probs = np.asarray(probs, dtype=float)
     n = kernel.n_children
@@ -136,11 +122,4 @@ def eval_multivariate_g(
         raise ArgumentError("probabilities must lie in [0,1]")
     if n > MAX_EXACT_CHILDREN:
         raise ArgumentError(f"exact enumeration limited to {MAX_EXACT_CHILDREN} children")
-    total = 0.0
-    for pattern in range(2**n):
-        votes = _bits(pattern, n)
-        weight = 1.0
-        for i, v in enumerate(votes):
-            weight *= probs[i] if v else 1.0 - probs[i]
-        total += kernel.theta(votes, decoration) * weight
-    return total
+    return float(kernel.combine_params(probs[None, :])[0])

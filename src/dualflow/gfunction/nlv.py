@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import ArgumentError
 from .gfun import GFunction
-from .kernels import ExchangeableKernel, VotingKernel, eval_multivariate_g
+from .kernels import ExchangeableKernel, eval_multivariate_g
 
 __all__ = [
     "MarkedPartition",
@@ -39,7 +39,6 @@ __all__ = [
     "nlv_polynomial_g",
     "g_pi",
     "g_pi_univariate_coeffs",
-    "partition_theta_kernel",
 ]
 
 N_VOTERS = 5
@@ -80,18 +79,6 @@ class MarkedPartition:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def representative_of(self, i: int) -> int:
-        for block, mark in zip(self.blocks, self.marks):
-            if i in block:
-                return mark
-        raise ArgumentError(f"element {i} not in partition")
-
-    def is_singleton(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-    def unmarked_key(self) -> tuple[tuple[int, ...], ...]:
-        return self.blocks
 
     def __str__(self):
         parts = []
@@ -213,36 +200,6 @@ def nlv_polynomial_g(a1: float, a2: float, a3: float, a4: float) -> GFunction:
             "kernel_levels": list(map(float, kern.levels)),
         },
     )
-
-
-class PartitionKernel(VotingKernel):
-    """Kernel applying the rate levels to partition-modified votes.
-
-    Every vote is replaced by the vote of its block's marked
-    representative before counting ones.
-    """
-
-    def __init__(self, partition: MarkedPartition, levels: Sequence[float]):
-        if partition.n != len(levels) - 1:
-            raise ArgumentError("partition size does not match kernel arity")
-        self.partition = partition
-        self.levels = np.asarray(levels, dtype=float)
-        self.n_children = partition.n
-        self.is_deterministic = all(v in (0.0, 1.0) for v in self.levels)
-        self._rep = np.array(
-            [partition.representative_of(i) - 1 for i in range(1, partition.n + 1)]
-        )
-
-    def theta(self, votes: Sequence[int], decoration: object = None) -> float:
-        votes = np.asarray(votes)
-        return float(self.levels[int(votes[self._rep].sum())])
-
-    def theta_batch(self, votes: np.ndarray, decoration: object = None) -> np.ndarray:
-        return self.levels[votes[:, self._rep].sum(axis=1)]
-
-
-def partition_theta_kernel(partition: MarkedPartition, a1, a2, a3, a4) -> PartitionKernel:
-    return PartitionKernel(partition, [0.0, a1, a2, a3, a4, 1.0])
 
 
 def g_pi(

@@ -1,8 +1,9 @@
 """Factories for the five approximate dual models.
 
 Each factory returns a ModelBundle holding the branching spec, the
-voting kernel, the associated g-function with its cached axiom report,
-and the declared equilibria (a, mu, b).
+voting kernel (or, for the nonlinear voter, a forest combiner), the
+associated g-function with its cached axiom report, and the declared
+equilibria (a, mu, b).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import ArgumentError, ResourceError
 from .dualtree.tree import BranchingSpec
 from .gfunction.coalescence import (
     _labels_to_partition,
-    coalescence_partition_distribution,
     gbar,
     sample_box_offsets,
     sample_coalescent_partitions,
@@ -45,13 +45,21 @@ NLV_DEFAULT_RATES = {"a1": 0.22, "a2": 0.35, "a3": 0.65, "a4": 0.78}
 
 @dataclass
 class ModelBundle:
+    """One dual model: spec, voting rule, g and equilibria.
+
+    A bundle whose ``kernel`` is None votes only through ``combine``, the
+    forest combiner ``combine(child_params, decorations, rng)`` that reads
+    the per-event decorations of ``spec.decoration_fn``; no voting kernel
+    or g-function ever sees a decoration.
+    """
+
     spec: BranchingSpec
-    kernel: VotingKernel
+    kernel: Optional[VotingKernel]
     g: GFunction
     equilibria: tuple[float, float, float]  # (a, mu, b)
     scaling_notes: str = ""
     flags: dict = field(default_factory=dict)
-    combine: Optional[Callable] = None  # decorated-kernel forest combiner
+    combine: Optional[Callable] = None
 
     @property
     def a(self) -> float:
@@ -334,60 +342,6 @@ def lotka_volterra_dual(
     )
 
 
-class NlvDecoration:
-    """Offspring displacement vector plus a lazily sampled coalescence
-    partition (one realization, seeded per vertex)."""
-
-    __slots__ = ("xi_bar", "seed", "_partition")
-
-    def __init__(self, xi_bar: np.ndarray, seed: int):
-        self.xi_bar = xi_bar
-        self.seed = int(seed)
-        self._partition: Optional[MarkedPartition] = None
-
-    def partition(self, dim: int, horizon: float, jump_rate: float) -> MarkedPartition:
-        if self._partition is None:
-            dist = coalescence_partition_distribution(
-                self.xi_bar[None, :, :], dim, horizon, jump_rate, 1, self.seed
-            )
-            self._partition = next(iter(dist.weights))
-        return self._partition
-
-
-class NlvPartitionKernel(VotingKernel):
-    """Five-child kernel applying the rate levels to coalescence-modified
-    votes; the decoration supplies the realized marked partition."""
-
-    requires_decoration = True
-
-    def __init__(self, a1, a2, a3, a4, dim: int, horizon: float, jump_rate: float):
-        self.rates = (a1, a2, a3, a4)
-        self.levels = np.array([0.0, a1, a2, a3, a4, 1.0])
-        self.n_children = 5
-        self.is_deterministic = False
-        self.dim = dim
-        self.horizon = horizon
-        self.jump_rate = jump_rate
-
-    def _partition_of(self, decoration) -> MarkedPartition:
-        if decoration is None:
-            raise ArgumentError("nonlinear-voter kernel requires a decoration")
-        if isinstance(decoration, MarkedPartition):
-            return decoration
-        return decoration.partition(self.dim, self.horizon, self.jump_rate)
-
-    def theta(self, votes, decoration=None) -> float:
-        part = self._partition_of(decoration)
-        votes = np.asarray(votes)
-        modified = sum(votes[part.representative_of(i) - 1] for i in range(1, 6))
-        return float(self.levels[int(modified)])
-
-    def theta_batch(self, votes: np.ndarray, decoration=None) -> np.ndarray:
-        part = self._partition_of(decoration)
-        reps = np.array([part.representative_of(i) - 1 for i in range(1, 6)])
-        return self.levels[votes[:, reps].sum(axis=1)]
-
-
 def nonlinear_voter_dual(
     epsilon: float,
     L: int,
@@ -405,9 +359,11 @@ def nonlinear_voter_dual(
     with coalescence-decorated voting.
 
     Offspring are the parent site plus four distinct uniform box sites;
-    the decoration stores the displacement vector, from which the kernel
-    lazily samples the sibling coalescence partition. The bundle's g is
-    the effective (coalescence-weighted) g at this L and horizon, with
+    the decoration of a branching event is its (5, dim) lattice
+    displacement array. The bundle has no voting kernel: ``combine``
+    samples one sibling coalescence partition per internal vertex from
+    those displacements and applies its g^pi. The bundle's g is the
+    effective (coalescence-weighted) g at this L and horizon, with
     equilibria located on it.
     """
     if L < 1:
@@ -428,8 +384,6 @@ def nonlinear_voter_dual(
         flags["no_interior_equilibria"] = "effective g has no interior fixed points"
     geff.report = verify_g_axioms(geff)
 
-    kern = NlvPartitionKernel(a1, a2, a3, a4, dim, coalescence_horizon, float(dim))
-
     def dispersal(parents: np.ndarray, rng: np.random.Generator):
         m = parents.shape[0]
         out = np.empty((m, 5, dim))
@@ -439,15 +393,14 @@ def nonlinear_voter_dual(
         return out
 
     def decoration_fn(parents: np.ndarray, offspring: np.ndarray, rng: np.random.Generator):
-        m = parents.shape[0]
         xi = np.rint((offspring - parents[:, None, :]) / mesh).astype(np.int64)
-        seeds = rng.integers(0, 2**63 - 1, size=m)
-        return [NlvDecoration(xi[i], int(seeds[i])) for i in range(m)]
+        # discarded draw: keeps the forest's random stream, so NLV results stay draw-for-draw identical
+        rng.integers(0, 2**63 - 1, size=parents.shape[0])
+        return xi
 
-    def combine(child_params: np.ndarray, decorations, rng: np.random.Generator):
+    def combine(child_params: np.ndarray, xi: np.ndarray, rng: np.random.Generator):
         """Batched forest combiner: one coalescing realization per vertex."""
         m = child_params.shape[0]
-        xi = np.stack([d.xi_bar for d in decorations])
         rep, _, _ = sample_coalescent_partitions(
             xi, dim, coalescence_horizon, float(dim), m, rng
         )
@@ -473,7 +426,7 @@ def nonlinear_voter_dual(
     )
     return ModelBundle(
         spec,
-        kern,
+        None,
         geff,
         (float(a_eps), 0.5, float(b_eps)),
         scaling_notes=(

@@ -85,6 +85,10 @@ def bbm1d_vote_prob(
     The default voting function is the (a, b) step profile; pass
     ``voting_fn`` to override (e.g. a constant equilibrium function).
     """
+    if kernel is None:
+        raise ArgumentError(
+            "this model votes through sibling coalescence and has no 1-D voting kernel"
+        )
     spec = bbm1d_spec(epsilon, kernel.n_children, gamma)
     p = voting_fn if voting_fn is not None else step_profile(a, b)
     return estimate_vote_probability(spec, kernel, [z], t, p, n_samples, rng_seed)

@@ -95,19 +95,26 @@ def _second_derivs(up: np.ndarray, h: float, dim: int) -> dict[tuple[int, int], 
     return out
 
 
-def curvature_rhs(u: np.ndarray, h: float, reg_delta: float) -> np.ndarray:
-    """(1/2) tr[(I - Du Du^T / (|Du|^2 + reg^2)) D^2 u] on the grid."""
+def _curvature_terms(u: np.ndarray, h: float):
+    """Central differences of u with Neumann walls: the second derivatives
+    D^2 u by index pair, |Du|^2, the Laplacian and Du^T D^2 u Du."""
     dim = u.ndim
     up = _pad_neumann(u)
     d1 = _first_derivs(up, h, dim)
     d2 = _second_derivs(up, h, dim)
-    grad2 = sum(d * d for d in d1) + reg_delta**2
+    grad2 = sum(d * d for d in d1)
     lap = sum(d2[(k, k)] for k in range(dim))
     quad = sum(d1[k] * d1[k] * d2[(k, k)] for k in range(dim))
     for k in range(dim):
         for l in range(k + 1, dim):
             quad = quad + 2 * d1[k] * d1[l] * d2[(k, l)]
-    return 0.5 * (lap - quad / grad2)
+    return d2, grad2, lap, quad
+
+
+def curvature_rhs(u: np.ndarray, h: float, reg_delta: float) -> np.ndarray:
+    """(1/2) tr[(I - Du Du^T / (|Du|^2 + reg^2)) D^2 u] on the grid."""
+    _, grad2, lap, quad = _curvature_terms(u, h)
+    return 0.5 * (lap - quad / (grad2 + reg_delta**2))
 
 
 def evolve_mcf_levelset(

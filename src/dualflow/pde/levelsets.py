@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ArgumentError
-from .curvature import _first_derivs, _pad_neumann, _second_derivs
+from .curvature import _curvature_terms, _first_derivs, _pad_neumann
 from .distance import signed_distance
 from .field import ScalarField
 
@@ -62,16 +62,7 @@ def curvature_envelope_fields(phi: ScalarField) -> tuple[np.ndarray, np.ndarray,
     """(F_lower, F_upper, |Dphi|) evaluated on the grid by central
     differences, with the eigenvalue envelopes at vanishing gradients."""
     dim = phi.dim
-    h = phi.spacing
-    up = _pad_neumann(phi.values)
-    d1 = _first_derivs(up, h, dim)
-    d2 = _second_derivs(up, h, dim)
-    grad2 = sum(d * d for d in d1)
-    lap = sum(d2[(k, k)] for k in range(dim))
-    quad = sum(d1[k] * d1[k] * d2[(k, k)] for k in range(dim))
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            quad = quad + 2 * d1[k] * d1[l] * d2[(k, l)]
+    d2, grad2, lap, quad = _curvature_terms(phi.values, phi.spacing)
     safe = grad2 > _GRAD_EPS
     common = -0.5 * (lap - np.divide(quad, grad2, out=np.zeros_like(quad), where=safe))
     f_lower = common.copy()

@@ -248,8 +248,9 @@ def check_equilibria(
 
     Back-propagation of a constant through any genealogy is the n-fold
     composition of the bundle's g at a fixed point, so the estimate has
-    zero variance; the threshold is floating-point tight. For decorated
-    kernels the combination uses the bundle's frozen effective g (its
+    zero variance; the threshold is floating-point tight. Every vertex
+    combines through the bundle's g, which for the nonlinear voter is the
+    frozen effective g rather than its coalescence-sampling combiner (its
     equilibria are fixed points of that g by construction).
     """
     g_combo = lambda child, dec, rng: bundle.g.combine_params(child)

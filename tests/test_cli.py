@@ -52,6 +52,29 @@ class TestConfigValidation:
         assert run(str(write_cfg(tmp_path, cfg)), out_dir=str(out)) == 2
         assert not (out / "reports.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "check, params",
+        [
+            ("interface_profile_width", {"t": 0.05, "n_samples": 20}),
+            ("propagation_vs_1d", {"phi": "plane", "time_grid": [0.02], "n_samples": 4}),
+        ],
+    )
+    def test_one_dimensional_comparison_on_nlv_exits_2(self, tmp_path, check, params):
+        # the nonlinear voter votes through sibling coalescence only, so
+        # the checks that need a plain 1-D kernel are configuration errors
+        cfg = dict(
+            BASE,
+            model={
+                "name": "nonlinear_voter_dual",
+                "params": {"epsilon": 0.3, "L": 2, "dim": 3, "gbar_samples": 200, "gbar_seed": 1},
+            },
+            grid={"origin": [-1.0, -1.0, -1.0], "spacing": 0.125, "extents": [17, 17, 17]},
+            checks=[{"name": check, "params": params}],
+        )
+        out = tmp_path / "out"
+        assert run(str(write_cfg(tmp_path, cfg)), out_dir=str(out)) == 2
+        assert not (out / "reports.jsonl").exists()
+
     def test_bad_json_diagnostics(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{");

@@ -18,7 +18,7 @@ from dualflow.dualtree import (
 )
 from dualflow.errors import ArgumentError, ResourceError
 from dualflow.gfunction import iterate_g, kernel_g, majority_kernel
-from dualflow.models import brownian_motion, ternary_bbm
+from dualflow.models import brownian_motion, nonlinear_voter_dual, ternary_bbm
 from dualflow.rng import derive_rng
 
 
@@ -269,6 +269,10 @@ class TestForest:
         assert est.value == 0.5
         assert est.stderr == 0.0
 
+    def test_kernel_or_combiner_required(self):
+        with pytest.raises(ArgumentError, match="kernel or a forest combiner"):
+            estimate_vote_probability(bbm_spec(), None, [0.0], 0.1, lambda P: np.zeros(P.shape[0]), 10, 1)
+
     def test_budget_enforced(self):
         spec = bbm_spec(epsilon=0.1)
         with pytest.raises(ResourceError):
@@ -300,6 +304,35 @@ class TestTreeJson:
         assert set(data) == {"version", "n_children", "dim", "horizon", "root_start", "vertices"}
         rec = data["vertices"][0]
         assert {"path", "birth", "death", "position"} <= set(rec)
+
+
+@pytest.fixture(scope="module")
+def nlv_tree():
+    # a 5-ary genealogy with 3 branching events, each decorated with its
+    # (5, 3) int64 lattice displacement array
+    bundle = nonlinear_voter_dual(0.45, L=2, dim=3, gbar_samples=200, gbar_seed=1)
+    return bundle, simulate_tree(bundle.spec, [0.0, 0.0, 0.0], 0.15, rng_seed=5)
+
+
+class TestDecoratedTree:
+    def test_json_roundtrip_keeps_decorations(self, nlv_tree):
+        _, tree = nlv_tree
+        decorated = {u: v.decoration for u, v in tree.vertices.items() if v.decoration is not None}
+        assert len(decorated) == 3
+        back = TimeLabelledTree.from_json(tree.to_json())
+        back.validate()
+        assert back.to_json() == tree.to_json()
+        for u, dec in decorated.items():
+            got = back.vertices[u].decoration
+            assert got.dtype == np.int64 and got.shape == (5, 3)
+            assert np.array_equal(got, dec)
+
+    def test_exact_recursion_with_frozen_g_keeps_equilibria(self, nlv_tree):
+        # the bundle's effective g ignores decorations; constant equilibrium
+        # leaves stay put, as in the forest's equilibria check
+        bundle, tree = nlv_tree
+        for c in bundle.equilibria:
+            assert root_vote_prob_exact(tree, lambda pos, c=c: c, bundle.g) == pytest.approx(c, abs=1e-12)
 
 
 class TestRegularContainment:

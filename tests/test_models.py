@@ -14,7 +14,9 @@ from dualflow.models import (
     voter_forward_oracle,
     SR_THETA_LEVELS,
 )
+from dualflow.onedim import step_profile
 from dualflow.rng import derive_rng
+from dualflow.verify.checks import bundle_estimate
 
 from conftest import NLV_RATES
 
@@ -155,6 +157,28 @@ class TestNonlinearVoter:
             combine=b.combine,
         )
         assert est.value == pytest.approx(0.5, abs=1e-12)
+
+    def test_bundle_estimates_pinned(self, bundles):
+        # pinned values: any change to the NLV random stream, the decoration
+        # draws or the forest combiner moves them
+        b = bundles["nlv"]
+        leaf = step_profile(b.a, b.b)
+        pinned = [
+            ([0.0, 0.0, 0.0], 21, 0.5340586261611473, 0.017624310343731055),
+            ([-0.03, 0.0, 0.0], 22, 0.4516327440604396, 0.0175823554236847),
+        ]
+        for x, seed, value, stderr in pinned:
+            est = bundle_estimate(b, x, 0.05, leaf, 150, seed)
+            assert (est.value, est.stderr) == (value, stderr)
+
+    def test_non_monotone_rates_build_and_flag(self):
+        b = nonlinear_voter_dual(
+            0.3, L=2, dim=3, a1=0.4, a2=0.3, a3=0.7, a4=0.6, gbar_samples=200, gbar_seed=1
+        )
+        assert b.flags["b2"] is False
+        assert b.flags["balance"] is True
+        assert b.equilibria == (0.0, 0.5, 1.0)
+        assert b.kernel is None and b.combine is not None
 
 
 class TestSexualReproduction:
