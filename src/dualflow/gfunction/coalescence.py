@@ -32,7 +32,7 @@ from ..rng import derive_rng
 from .gfun import GFunction
 from .nlv import (
     MarkedPartition,
-    g_pi,
+    g_pi_batch,
     g_pi_univariate_coeffs,
     singleton_partition,
 )
@@ -407,9 +407,10 @@ def gbar(
     def univariate(p):
         return np.polynomial.polynomial.polyval(np.asarray(p, dtype=float), coeffs)
 
-    def multivariate(probs):
-        vals = np.array([g_pi(part, probs, a1, a2, a3, a4) for part in parts])
-        return float(np.dot(wvec, vals))
+    def multivariate(rows):
+        vals = np.array([g_pi_batch(part, rows, a1, a2, a3, a4) for part in parts])
+        # one dot per row, in the summation order of a single-row evaluation
+        return np.array([np.dot(wvec, v) for v in np.ascontiguousarray(vals.T)])
 
     meta = {
         "rates": {"a1": a1, "a2": a2, "a3": a3, "a4": a4},
@@ -423,5 +424,5 @@ def gbar(
         "n_samples": n_samples,
         "notes": notes,
     }
-    return GFunction(5, univariate, multivariate, label=f"gbar(L={L})", metadata=meta)
+    return GFunction(5, univariate, multivariate, coeffs, label=f"gbar(L={L})", metadata=meta)
 

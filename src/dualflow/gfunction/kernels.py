@@ -47,12 +47,14 @@ class VotingKernel:
 
         Computes, row by row, the expectation of theta over independent
         Bernoulli votes with the given parameters, by exact enumeration
-        of all 2**n_children vote vectors.
+        of all 2**n_children vote vectors; requires n_children <= 16.
         """
         child_params = np.asarray(child_params, dtype=float)
         m, n = child_params.shape
         if n != self.n_children:
             raise ArgumentError(f"expected {self.n_children} children, got {n}")
+        if n > MAX_EXACT_CHILDREN:
+            raise ArgumentError(f"exact enumeration limited to {MAX_EXACT_CHILDREN} children")
         out = np.zeros(m)
         for pattern in range(2**n):
             votes = _bits(pattern, n)
@@ -112,7 +114,7 @@ def eval_multivariate_g(kernel: VotingKernel, probs: Sequence[float]) -> float:
     """Expected theta over independent Bernoulli(probs) votes.
 
     One row of ``kernel.combine_params``, the exact enumeration over all
-    2**n_children vote vectors; requires n_children <= 16.
+    2**n_children vote vectors.
     """
     probs = np.asarray(probs, dtype=float)
     n = kernel.n_children
@@ -120,6 +122,4 @@ def eval_multivariate_g(kernel: VotingKernel, probs: Sequence[float]) -> float:
         raise ArgumentError(f"expected {n} probabilities, got shape {probs.shape}")
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ArgumentError("probabilities must lie in [0,1]")
-    if n > MAX_EXACT_CHILDREN:
-        raise ArgumentError(f"exact enumeration limited to {MAX_EXACT_CHILDREN} children")
     return float(kernel.combine_params(probs[None, :])[0])

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import ArgumentError
 from .gfun import GFunction
-from .kernels import ExchangeableKernel, eval_multivariate_g
+from .kernels import ExchangeableKernel
 
 __all__ = [
     "MarkedPartition",
@@ -185,14 +185,14 @@ def nlv_polynomial_g(a1: float, a2: float, a3: float, a4: float) -> GFunction:
         q = 1.0 - p
         return A * p * q**4 + B * p**2 * q**3 - B * p**3 * q**2 - A * p**4 * q + p
 
-    def multivariate(probs):
-        return eval_multivariate_g(kern, probs)
-
+    # the quintic above, expanded in powers of p
+    coeffs = [0.0, 1.0 + A, B - 4 * A, 6 * A - 4 * B, 5 * (B - A), 2 * (A - B)]
     flags = nlv_rate_flags(a1, a2, a3, a4)
     return GFunction(
         5,
         univariate,
-        multivariate,
+        kern.combine_params,
+        coeffs,
         label="nlv",
         metadata={
             "rates": {"a1": a1, "a2": a2, "a3": a3, "a4": a4},

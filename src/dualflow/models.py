@@ -23,7 +23,9 @@ from .gfunction.coalescence import (
     sample_box_offsets,
     sample_coalescent_partitions,
 )
-from .gfunction.gfun import GFunction, find_fixed_points, kernel_g, verify_g_axioms
+# find_fixed_points is no longer called here but stays importable as
+# dualflow.models.find_fixed_points, where the perfbench tracer wraps it
+from .gfunction.gfun import GFunction, find_fixed_points, kernel_g, verify_g_axioms  # noqa: F401
 from .gfunction.kernels import ExchangeableKernel, VotingKernel, majority_kernel
 from .gfunction.nlv import MarkedPartition, g_pi_batch, nlv_rate_flags
 from .rng import derive_rng
@@ -375,14 +377,14 @@ def nonlinear_voter_dual(
         mesh = epsilon**3
 
     geff = gbar(L, dim, coalescence_horizon, a1, a2, a3, a4, gbar_samples, gbar_seed)
-    fps = find_fixed_points(geff, tol=1e-14)
+    geff.report = verify_g_axioms(geff)
+    fps = geff.report.fixed_points
     interior = [p for p in fps if 1e-6 < p < 1 - 1e-6 and abs(p - 0.5) > 1e-6]
     if len(interior) >= 2:
         a_eps, b_eps = min(interior), max(interior)
     else:
         a_eps, b_eps = 0.0, 1.0
         flags["no_interior_equilibria"] = "effective g has no interior fixed points"
-    geff.report = verify_g_axioms(geff)
 
     def dispersal(parents: np.ndarray, rng: np.random.Generator):
         m = parents.shape[0]

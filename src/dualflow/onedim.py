@@ -68,6 +68,13 @@ def bbm1d_spec(epsilon: float, n_children: int = 3, gamma: float = 1.0) -> Branc
     )
 
 
+def _require_kernel(kernel: Optional[VotingKernel]) -> None:
+    if kernel is None:
+        raise ArgumentError(
+            "this model votes through sibling coalescence and has no 1-D voting kernel"
+        )
+
+
 def bbm1d_vote_prob(
     z: float,
     t: float,
@@ -85,10 +92,7 @@ def bbm1d_vote_prob(
     The default voting function is the (a, b) step profile; pass
     ``voting_fn`` to override (e.g. a constant equilibrium function).
     """
-    if kernel is None:
-        raise ArgumentError(
-            "this model votes through sibling coalescence and has no 1-D voting kernel"
-        )
+    _require_kernel(kernel)
     spec = bbm1d_spec(epsilon, kernel.n_children, gamma)
     p = voting_fn if voting_fn is not None else step_profile(a, b)
     return estimate_vote_probability(spec, kernel, [z], t, p, n_samples, rng_seed)

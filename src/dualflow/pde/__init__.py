@@ -6,7 +6,6 @@ from .distance import (
     LazySignedDistance,
     signed_distance,
     zero_crossing_points,
-    zero_set_thickness,
     extract_zero_set_csv,
 )
 from .levelsets import (
@@ -29,7 +28,6 @@ __all__ = [
     "signed_distance",
     "LazySignedDistance",
     "zero_crossing_points",
-    "zero_set_thickness",
     "extract_zero_set_csv",
     "LevelSetTriple",
     "psi_alpha_field",

@@ -32,7 +32,6 @@ __all__ = [
     "signed_distance",
     "LazySignedDistance",
     "extract_zero_set_csv",
-    "zero_set_thickness",
 ]
 
 
@@ -245,16 +244,6 @@ class LazySignedDistance:
         for idx, weight in corners:
             out += weight * self.at(np.ravel_multi_index(idx, self.field.values.shape))
         return out
-
-
-def zero_set_thickness(field: ScalarField) -> float:
-    """Largest distance from a near-zero grid point to the zero set;
-    values above ~3 spacings indicate fattening of the level set."""
-    d = signed_distance(field)
-    near = np.abs(field.values) <= 1e-12
-    if not near.any():
-        return 0.0
-    return float(np.max(np.abs(d.values[near])))
 
 
 def extract_zero_set_csv(field: ScalarField) -> str:

@@ -12,6 +12,7 @@ with stable phases 0 and 1.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from ..errors import ArgumentError
 from ..gfunction.gfun import GFunction
@@ -21,11 +22,14 @@ from .field import ScalarField
 __all__ = ["solve_reaction_diffusion", "reaction_time_step"]
 
 
-def _max_gprime_minus_one(g: GFunction, n: int = 512) -> float:
-    ps = np.linspace(0.0, 1.0, n + 1)
-    vals = np.asarray(g(ps), dtype=float)
-    deriv = np.gradient(vals, ps)
-    return float(np.max(np.abs(deriv - 1.0)))
+def _max_gprime_minus_one(g: GFunction) -> float:
+    """max |g'(p) - 1| over [0,1], from the coefficients: the extremes of
+    g' lie at the endpoints or at the real roots of g''."""
+    slope = P.polyder(g.coeffs)
+    roots = P.polyroots(P.polytrim(P.polyder(g.coeffs, 2)))
+    inner = roots.real[(roots.imag == 0.0) & (roots.real > 0.0) & (roots.real < 1.0)]
+    candidates = np.concatenate([[0.0, 1.0], inner])
+    return float(np.max(np.abs(P.polyval(candidates, slope) - 1.0)))
 
 
 def reaction_time_step(epsilon: float, g: GFunction, branch_gamma: float, spacing: float, dim: int) -> float:

@@ -30,8 +30,3 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     bitgen = np.random.Philox(key=int(seed) & _MASK64, counter=counter)
     return np.random.Generator(bitgen)
 
-
-def spawn_seeds(seed: int, n: int, stream: int = 0) -> np.ndarray:
-    """n child seeds for replicate workers, derived from one master seed."""
-    rng = derive_rng(seed, 0x5EED, stream)
-    return rng.integers(0, _MASK64, size=n, dtype=np.uint64)

@@ -19,7 +19,7 @@ from ..errors import ArgumentError
 from ..dualtree.estimate import VoteEstimate, estimate_vote_probability
 from ..dualtree.tree import BranchingSpec
 from ..models import ModelBundle
-from ..onedim import bbm1d_vote_prob
+from ..onedim import _require_kernel, bbm1d_vote_prob
 from ..pde.curvature import _first_derivs, _pad_neumann, evolve_mcf_levelset
 from ..pde.distance import LazySignedDistance, signed_distance
 from ..pde.field import ScalarField
@@ -486,9 +486,11 @@ def check_propagation_vs_1d(
     and compare the multi-d estimate under (a + delta, b) data with the
     1-D step-data profile evaluated at d(t, x) + K2 eps |log eps|. The
     allowance C_allow * eps^k_power absorbs the finite-eps comparison
-    error; the statistic is the worst excess beyond 4 sigma.
+    error; the statistic is the worst excess beyond 4 sigma. A bundle
+    without a voting kernel has no 1-D profile and is rejected at once.
     """
     b_eps = _bundle_at(bundle, epsilon)
+    _require_kernel(b_eps.kernel)
     scale = epsilon * abs(math.log(epsilon))
     with timed_report() as box:
         worst = -math.inf

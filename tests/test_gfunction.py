@@ -1,20 +1,29 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from dualflow.errors import ArgumentError
 from dualflow.gfunction import (
     ExchangeableKernel,
+    GAxiomReport,
     GFunction,
     eval_multivariate_g,
     find_fixed_points,
+    gbar,
     iterate_g,
+    kernel_g,
     majority_kernel,
+    nlv_kernel,
     verify_g_axioms,
 )
+from dualflow.models import SR_THETA_LEVELS
 
-from conftest import hand_majority_cubic
+from conftest import NLV_RATES, hand_majority_cubic
 
 
 class TestEvalMultivariate:
@@ -93,14 +102,15 @@ class TestFixedPoints:
         g = GFunction(
             3,
             lambda p: 9.0 / 11.0 * (p + p**2 - p**3),
-            lambda ps: 9.0 / 11.0 * (np.mean(ps) + np.mean(ps) ** 2 - np.mean(ps) ** 3),
+            lambda rows: 9.0 / 11.0 * (rows.mean(axis=1) + rows.mean(axis=1) ** 2 - rows.mean(axis=1) ** 3),
+            [0.0, 9.0 / 11.0, 9.0 / 11.0, -9.0 / 11.0],
             label="sr",
         )
         fps = find_fixed_points(g, tol=1e-13)
         assert np.allclose(fps, [0.0, 1.0 / 3.0, 2.0 / 3.0], atol=1e-10)
 
     def test_identity_reports_degeneracy(self):
-        g = GFunction(1, lambda p: np.asarray(p, dtype=float), lambda ps: float(ps[0]))
+        g = GFunction(1, lambda p: np.asarray(p, dtype=float), lambda rows: rows[:, 0], [0.0, 1.0])
         fps = find_fixed_points(g, tol=1e-12)
         assert fps.degenerate, "identity map must be flagged degenerate"
         lo, hi = fps.degenerate[0]
@@ -123,7 +133,10 @@ class TestAxiomReport:
         g = GFunction(
             3,
             lambda p: 9.0 / 11.0 * (np.asarray(p) + np.asarray(p) ** 2 - np.asarray(p) ** 3),
-            lambda ps: float(9.0 / 11.0 * (ps[0] + ps[0] ** 2 - ps[0] ** 3)) if len(set(ps)) == 1 else 0.0,
+            lambda rows: np.where(
+                np.all(rows == rows[:, :1], axis=1), 9.0 / 11.0 * (rows[:, 0] + rows[:, 0] ** 2 - rows[:, 0] ** 3), 0.0
+            ),
+            [0.0, 9.0 / 11.0, 9.0 / 11.0, -9.0 / 11.0],
             label="sr",
         )
         rep = verify_g_axioms(g)
@@ -132,7 +145,7 @@ class TestAxiomReport:
         assert rep.passes["g1"] and rep.passes["g2"]
 
     def test_square_fails_fixed_point_axiom(self):
-        g = GFunction(2, lambda p: np.asarray(p) ** 2, lambda ps: ps[0] * ps[1])
+        g = GFunction(2, lambda p: np.asarray(p) ** 2, lambda rows: rows[:, 0] * rows[:, 1], [0.0, 0.0, 1.0])
         rep = verify_g_axioms(g)
         assert not rep.passes["g1"]
 
@@ -140,7 +153,8 @@ class TestAxiomReport:
         kern_like = GFunction(
             2,
             lambda p: 4 * np.asarray(p) * (1 - np.asarray(p)),
-            lambda ps: float(4 * ps[0] * (1 - ps[1])),
+            lambda rows: 4 * rows[:, 0] * (1 - rows[:, 1]),
+            [0.0, 4.0, -4.0],
         )
         rep = verify_g_axioms(kern_like)
         assert not rep.passes["g0"]
@@ -171,3 +185,37 @@ class TestKernelG:
         ps = np.linspace(0, 1, 13)
         assert np.allclose(back(ps), majority_g(ps), atol=1e-15)
         assert back.report.passes == majority_g.report.passes
+
+
+class TestPolynomialForm:
+    @pytest.mark.parametrize("name", ["majority3", "pair_model", "nlv_kernel", "nlv_quintic", "gbar"])
+    def test_coefficients_match_evaluation(self, name, majority_g, nlv_g):
+        g = {
+            "majority3": lambda: majority_g,
+            "pair_model": lambda: kernel_g(ExchangeableKernel(SR_THETA_LEVELS)),
+            "nlv_kernel": lambda: kernel_g(nlv_kernel(**NLV_RATES)),
+            "nlv_quintic": lambda: nlv_g,
+            "gbar": lambda: gbar(2, 3, math.inf, n_samples=200, rng_seed=11, **NLV_RATES),
+        }[name]()
+        ps = np.linspace(0.0, 1.0, 1001)
+        assert np.max(np.abs(P.polyval(ps, g.coeffs) - g(ps))) <= 1e-14
+
+    def test_majority_fixed_points_exact(self, majority_g):
+        assert list(find_fixed_points(majority_g)) == [0.0, 0.5, 1.0]
+
+    def test_pair_model_fixed_points(self):
+        fps = find_fixed_points(kernel_g(ExchangeableKernel(SR_THETA_LEVELS)))
+        assert np.max(np.abs(np.array(fps) - [0.0, 1.0 / 3.0, 2.0 / 3.0])) <= 1e-15
+
+    @pytest.mark.parametrize("coeffs", [None, [], [0.0, np.nan]])
+    def test_coefficients_required(self, coeffs):
+        with pytest.raises(ArgumentError):
+            GFunction(1, lambda p: p, lambda rows: rows[:, 0], coeffs)
+
+    def test_finite_difference_report_still_loads(self):
+        # recorded by the earlier finite-difference scan (step 1e-5)
+        path = Path(__file__).parent / "data" / "majority3_axiom_report_finite_differences.json"
+        rep = GAxiomReport.from_json(path.read_text())
+        assert rep.all_pass()
+        assert (rep.a, rep.mu, rep.b, rep.delta_star) == (0.0, 0.5, 1.0, 0.091)
+        assert rep.derivative_at["mu"] == pytest.approx(1.5, abs=1e-4)

@@ -34,7 +34,26 @@ def bundles():
     }
 
 
+# (delta_star, a, b) of each fixture bundle's axiom report, recorded with
+# the earlier grid-bisection and finite-difference scan; every axiom passed
+SCAN_REFERENCE = {
+    "bbm": (0.091, 0.0, 1.0),
+    "slfv": (0.091, 0.0, 1.0),
+    "lv": (0.091, 0.0, 1.0),
+    "nlv": (0.058, 0.2540265083794111, 0.7459734916205889),
+    "sr": (0.061, 0.0, 0.6666666666665151),
+}
+
+
 class TestBundleInvariants:
+    def test_axiom_scan_matches_reference(self, bundles):
+        for name, b in bundles.items():
+            rep = b.g.report
+            delta_star, a, b_ = SCAN_REFERENCE[name]
+            assert rep.passes == {key: True for key in ("g0", "g1", "g2", "g3", "g5")}, name
+            assert rep.delta_star == delta_star, name
+            assert abs(rep.a - a) <= 1e-12 and abs(rep.b - b_) <= 1e-12, name
+
     def test_equilibria_are_fixed_points(self, bundles):
         for name, b in bundles.items():
             for point in (b.a, b.b):
@@ -160,9 +179,13 @@ class TestNonlinearVoter:
 
     def test_bundle_estimates_pinned(self, bundles):
         # pinned values: any change to the NLV random stream, the decoration
-        # draws or the forest combiner moves them
+        # draws or the forest combiner moves them. The step leaf takes the
+        # equilibria recorded with the values, because the bundle's own are
+        # roots of the effective g, exact only to ~1e-12
         b = bundles["nlv"]
-        leaf = step_profile(b.a, b.b)
+        a_pinned, b_pinned = 0.2540265083797131, 0.745973491620262
+        assert abs(b.a - a_pinned) <= 1e-12 and abs(b.b - b_pinned) <= 1e-12
+        leaf = step_profile(a_pinned, b_pinned)
         pinned = [
             ([0.0, 0.0, 0.0], 21, 0.5340586261611473, 0.017624310343731055),
             ([-0.03, 0.0, 0.0], 22, 0.4516327440604396, 0.0175823554236847),

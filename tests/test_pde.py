@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualflow.errors import ArgumentError
-from dualflow.gfunction import kernel_g, majority_kernel
+from dualflow.gfunction import ExchangeableKernel, kernel_g, majority_kernel
 from dualflow.pde import (
     LazySignedDistance,
     ScalarField,
@@ -283,6 +283,14 @@ class TestReactionDiffusion:
         stable = reaction_time_step(0.3, g, 1.0, p0.spacing, 1)
         with pytest.raises(ArgumentError):
             solve_reaction_diffusion(0.3, g, 1.0, p0, T=0.05, dt=2 * stable)
+
+    @pytest.mark.parametrize("levels", [(0.0, 0.0, 1.0, 1.0), (0.0, 3.0 / 11.0, 9.0 / 11.0, 9.0 / 11.0)])
+    def test_reaction_bound_uses_exact_stiffness(self, levels):
+        # oracle: max |g' - 1| over [0,1] is 1, reached at p = 1 by both the
+        # majority cubic 3p^2 - 2p^3 and the pair-model cubic (9/11)(p + p^2 - p^3);
+        # a coarse grid makes the reaction bound eps^2 / (4 gamma |g' - 1|) bind
+        g = kernel_g(ExchangeableKernel(levels))
+        assert reaction_time_step(0.3, g, 1.0, spacing=10.0, dim=1) == pytest.approx(0.3**2 / 4.0, rel=1e-15)
 
     def test_interface_sharpens_toward_equilibria(self):
         g = kernel_g(majority_kernel())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualflow.errors import ArgumentError
-from dualflow.rng import derive_rng, spawn_seeds
+from dualflow.rng import derive_rng
 
 
 class TestDeriveRng:
@@ -27,8 +27,3 @@ class TestDeriveRng:
         with pytest.raises(ArgumentError):
             derive_rng(1, 2, 3, 4, 5)
 
-    def test_spawned_seeds_deterministic_and_distinct(self):
-        s1 = spawn_seeds(7, 16)
-        s2 = spawn_seeds(7, 16)
-        assert np.array_equal(s1, s2)
-        assert len(set(s1.tolist())) == 16

@@ -7,6 +7,7 @@ import pytest
 from dualflow.errors import ArgumentError
 from dualflow.models import (
     lotka_volterra_dual,
+    nonlinear_voter_dual,
     sexual_reproduction_dual,
     ternary_bbm,
 )
@@ -120,6 +121,20 @@ class TestGeometryChecks:
             time_grid=[0.08, 0.12], n_samples=400, rng_seed=5,
         )
         assert rep.passed
+
+    def test_propagation_rejects_kernel_less_bundle_at_once(self, monkeypatch):
+        import dualflow.verify.checks as checks
+
+        def no_distance(*args, **kwargs):
+            raise AssertionError("signed_distance reached before the kernel test")
+
+        monkeypatch.setattr(checks, "signed_distance", no_distance)
+        nlv = nonlinear_voter_dual(0.3, L=1, dim=3, gbar_samples=50)
+        phi = field_from_function(lambda P: P[:, 0], origin=[-1, -1, -1], spacing=0.5, extents=[5, 5, 5])
+        with pytest.raises(ArgumentError, match="no 1-D voting kernel"):
+            check_propagation_vs_1d(
+                nlv, phi, alpha=1.0, delta=0.05, epsilon=0.3, time_grid=[0.08], n_samples=10, rng_seed=5
+            )
 
     def test_flow_consistency_both_variants(self):
         mk = lambda e: ternary_bbm(e, 2)
