@@ -7,6 +7,12 @@ exactly at every internal vertex. The per-tree result equals
 root_vote_prob_exact on the same tree; averaging over trees is then an
 unbiased, variance-reduced estimator of the vote probability.
 
+Leaves are valued as they are made: the forward pass calls ``leaf_prob``
+once per wave that has leaves, in wave order, and keeps one float per
+leaf rather than its position. ``leaf_prob`` must therefore be a pure
+function of the positions (it may draw no random numbers). The backward
+pass only scatters those values and combines.
+
 Children of the i-th internal vertex of a wave occupy the contiguous
 slots [i*n_children, (i+1)*n_children) of the next wave, which is what
 makes the backward pass a reshape.
@@ -29,7 +35,7 @@ __all__ = ["forest_root_params", "ForestResult"]
 @dataclass
 class _Wave:
     is_leaf: np.ndarray  # (n_w,) bool
-    leaf_positions: Optional[np.ndarray]  # (n_leaves, dim)
+    leaf_values: Optional[np.ndarray]  # (n_leaves,) leaf_prob at the leaves, or None
     decorations: Optional[np.ndarray]  # one row per internal vertex, or None
 
 
@@ -54,10 +60,13 @@ def forest_root_params(
 ) -> ForestResult:
     """Exact per-tree root vote parameters for an ensemble of trees.
 
-    ``leaf_prob`` must map an (m, dim) position array to m probabilities.
-    ``combine`` replaces the kernel's ``combine_params``; it receives
-    (child_params (m, N0), the wave's ``spec.decoration_fn`` rows or
-    None, rng). Decorations reach nothing else.
+    ``leaf_prob`` must map an (m, dim) position array to m probabilities
+    in [0, 1] (NaN is rejected, values within 1e-12 outside are clipped).
+    It is called once per wave with leaves, in forward order, and must be
+    a pure function of the positions. ``combine`` replaces the kernel's
+    ``combine_params``; it receives (child_params (m, N0), the wave's
+    ``spec.decoration_fn`` rows or None, rng). Decorations reach nothing
+    else.
     """
     if n_samples < 1:
         raise ArgumentError("n_samples must be positive")
@@ -80,6 +89,7 @@ def forest_root_params(
     positions = np.tile(x0, (n_samples, 1))
     births = np.zeros(n_samples)
     total = 0
+    total_leaves = 0
     while positions.shape[0]:
         n_w = positions.shape[0]
         total += n_w
@@ -90,41 +100,46 @@ def forest_root_params(
         else:
             lifetimes = np.full(n_w, np.inf)
         is_leaf = births + lifetimes >= t
-        leaf_pos = None
-        if is_leaf.any():
-            lp = positions[is_leaf]
-            leaf_pos = spec.motion(lp, t - births[is_leaf], rng)
-        internal = ~is_leaf
+        leaf_rows = np.flatnonzero(is_leaf)
+        internal_rows = np.flatnonzero(~is_leaf)
+        if leaf_rows.size:
+            leaf_pos = spec.motion(positions[leaf_rows], t - births[leaf_rows], rng)
         decorations = None
-        if internal.any():
-            ip = positions[internal]
-            ilife = lifetimes[internal]
-            at_death = spec.motion(ip, ilife, rng)
+        if internal_rows.size:
+            ilife = lifetimes[internal_rows]
+            at_death = spec.motion(positions[internal_rows], ilife, rng)
             offspring = spec.dispersal(at_death, rng)  # (m, n0, dim)
             if spec.decoration_fn is not None:
                 decorations = spec.decoration_fn(at_death, offspring, rng)
             positions = offspring.reshape(-1, spec.dim)
-            births = np.repeat(births[internal] + ilife, n0)
+            births = np.repeat(births[internal_rows] + ilife, n0)
+            del internal_rows, ilife, at_death, offspring  # released before the leaves are valued
         else:
             positions = np.empty((0, spec.dim))
             births = np.empty(0)
-        waves.append(_Wave(is_leaf, leaf_pos, decorations))
-
-    # backward pass
-    params_next = np.empty(0)
-    for wave in reversed(waves):
-        n_w = wave.is_leaf.shape[0]
-        params = np.empty(n_w)
-        if wave.leaf_positions is not None:
-            lvals = np.asarray(leaf_prob(wave.leaf_positions), dtype=float)
-            if lvals.shape != (int(wave.is_leaf.sum()),):
+        leaf_values = None
+        if leaf_rows.size:
+            leaf_values = np.asarray(leaf_prob(leaf_pos), dtype=float)
+            del leaf_pos
+            if leaf_values.shape != (leaf_rows.size,):
                 raise ArgumentError("leaf_prob must return one probability per position")
-            if np.any(lvals < -1e-12) or np.any(lvals > 1 + 1e-12):
+            # NaN fails both comparisons
+            if not (leaf_values.min() >= -1e-12 and leaf_values.max() <= 1 + 1e-12):
                 raise ArgumentError("leaf probabilities must lie in [0,1]")
-            params[wave.is_leaf] = np.clip(lvals, 0.0, 1.0)
-        n_int = int((~wave.is_leaf).sum())
-        if n_int:
-            child = params_next.reshape(n_int, n0)
+            leaf_values = np.clip(leaf_values, 0.0, 1.0)
+            total_leaves += leaf_rows.size
+        waves.append(_Wave(is_leaf, leaf_values, decorations))
+
+    # backward pass: scatter the leaf values, combine the children
+    max_depth = len(waves) - 1
+    params_next = np.empty(0)
+    while waves:
+        wave = waves.pop()
+        params = np.empty(wave.is_leaf.shape[0])
+        if wave.leaf_values is not None:
+            params[wave.is_leaf] = wave.leaf_values
+        if params_next.size:
+            child = params_next.reshape(-1, n0)
             if combine is not None:
                 params[~wave.is_leaf] = combine(child, wave.decorations, rng)
             else:
@@ -133,6 +148,7 @@ def forest_root_params(
     return ForestResult(
         root_params=params_next,
         total_vertices=total,
-        total_leaves=int(sum(w.is_leaf.sum() for w in waves)),
-        max_depth=len(waves) - 1,
+        total_leaves=total_leaves,
+        max_depth=max_depth,
     )
+

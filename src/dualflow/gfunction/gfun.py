@@ -97,7 +97,9 @@ class GFunction:
     ``univariate`` accepts scalars or numpy arrays in [0,1] (values
     outside are clamped: g is extended constant outside the unit
     interval). ``multivariate`` maps an (m, n_children) matrix of
-    probabilities to the m parent parameters. ``coeffs`` are the
+    probabilities to the m parent parameters; it is None for a g restored
+    from a serialised polynomial, whose multivariate form was not kept,
+    and `multi`/`combine_params` then raise. ``coeffs`` are the
     power-basis coefficients (ascending) of the univariate polynomial;
     the axiom scan reads only them, evaluation only the two callables.
     """
@@ -106,7 +108,7 @@ class GFunction:
         self,
         n_children: int,
         univariate: Callable[[np.ndarray], np.ndarray],
-        multivariate: Callable[[np.ndarray], np.ndarray],
+        multivariate: Optional[Callable[[np.ndarray], np.ndarray]],
         coeffs: Optional[Sequence[float]] = None,
         label: str = "",
         report: Optional[GAxiomReport] = None,
@@ -130,7 +132,12 @@ class GFunction:
     def multi(self, probs: Sequence[float]) -> float:
         return float(self._multi_rows(np.asarray(probs, dtype=float)[None, :])[0])
 
+    def _require_multivariate(self) -> None:
+        if self._multivariate is None:
+            raise ArgumentError(f"{self!r}: the multivariate form was not serialised")
+
     def _multi_rows(self, rows: np.ndarray) -> np.ndarray:
+        self._require_multivariate()
         if rows.ndim != 2 or rows.shape[1] != self.n_children:
             raise ArgumentError(f"expected {self.n_children} probabilities per row, got shape {rows.shape}")
         if np.any(rows < 0.0) or np.any(rows > 1.0):
@@ -142,6 +149,7 @@ class GFunction:
 
         Rows with equal entries short-circuit through the univariate map.
         """
+        self._require_multivariate()
         child_params = np.asarray(child_params, dtype=float)
         constant = np.all(child_params == child_params[:, :1], axis=1)
         out = np.empty(child_params.shape[0])
@@ -181,10 +189,7 @@ class GFunction:
             def uni(p, c=coeffs):
                 return P.polyval(p, c)
 
-            def multi(rows, c=coeffs):
-                return P.polyval(rows.mean(axis=1), c)
-
-            return cls(payload["n_children"], uni, multi, coeffs, label=payload["label"], report=report, metadata=meta)
+            return cls(payload["n_children"], uni, None, coeffs, label=payload["label"], report=report, metadata=meta)
         if "kernel_levels" in meta:
             kern = ExchangeableKernel(meta["kernel_levels"], label=payload["label"])
             return kernel_g(kern, label=payload["label"], report=report)

@@ -8,6 +8,7 @@ vote depends on one supplies its own forest combiner instead.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,27 +48,39 @@ class VotingKernel:
 
         Computes, row by row, the expectation of theta over independent
         Bernoulli votes with the given parameters, by exact enumeration
-        of all 2**n_children vote vectors; requires n_children <= 16.
+        of the vote vectors; requires n_children <= 16. The terms are
+        added in pattern order from zeros. Patterns with theta = 0 are
+        skipped, which is exact: with finite weights each would add 0.
         """
         child_params = np.asarray(child_params, dtype=float)
         m, n = child_params.shape
         if n != self.n_children:
             raise ArgumentError(f"expected {self.n_children} children, got {n}")
-        if n > MAX_EXACT_CHILDREN:
-            raise ArgumentError(f"exact enumeration limited to {MAX_EXACT_CHILDREN} children")
+        cols = list(np.ascontiguousarray(child_params.T))
+        factors = ([1.0 - c for c in cols], cols)  # factors[vote][child]
         out = np.zeros(m)
-        for pattern in range(2**n):
-            votes = _bits(pattern, n)
-            weight = np.ones(m)
-            for i, v in enumerate(votes):
-                weight = weight * (child_params[:, i] if v else 1.0 - child_params[:, i])
-            out += self.theta(votes) * weight
+        buf = np.empty(m)
+        for theta, votes in self._vote_patterns:
+            weight = factors[votes[0]][0]  # 1.0 * x is exactly x
+            for i in range(1, n):
+                weight = np.multiply(weight, factors[votes[i]][i], out=buf)
+            out += weight if theta == 1.0 else theta * weight
         return out
 
-
-def _bits(pattern: int, n: int) -> tuple[int, ...]:
-    # little-endian: bit i of pattern is the vote of child i
-    return tuple((pattern >> i) & 1 for i in range(n))
+    @cached_property
+    def _vote_patterns(self) -> list[tuple[float, tuple[int, ...]]]:
+        """(theta, votes) for every vote vector with theta != 0, in
+        pattern order; bit i of the pattern is the vote of child i."""
+        n = self.n_children
+        if n > MAX_EXACT_CHILDREN:
+            raise ArgumentError(f"exact enumeration limited to {MAX_EXACT_CHILDREN} children")
+        table = []
+        for pattern in range(2**n):
+            votes = tuple((pattern >> i) & 1 for i in range(n))
+            theta = float(self.theta(votes))
+            if theta != 0.0:
+                table.append((theta, votes))
+        return table
 
 
 class ExchangeableKernel(VotingKernel):

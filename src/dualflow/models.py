@@ -103,7 +103,10 @@ def brownian_motion(rate: float = 1.0):
     def motion(starts: np.ndarray, durations: np.ndarray, rng: np.random.Generator):
         starts = np.asarray(starts, dtype=float)
         sd = np.sqrt(rate * np.asarray(durations, dtype=float))[:, None]
-        return starts + sd * rng.standard_normal(starts.shape)
+        z = rng.standard_normal(starts.shape)
+        z *= sd  # in place: IEEE + and * commute, so this is starts + sd * z
+        z += starts
+        return z
 
     return motion
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..errors import ArgumentError
 from .field import ScalarField
@@ -146,6 +145,8 @@ class ZeroSet:
     any points. Requires the field to change sign somewhere."""
 
     def __init__(self, field: ScalarField):
+        from scipy.spatial import cKDTree  # imported on first use: it is slow to load
+
         self.dim = field.dim
         self.half_max = None  # largest half segment length (2-D only)
         if self.dim == 1:
@@ -239,10 +240,10 @@ class LazySignedDistance:
 
     def interp(self, points: np.ndarray) -> np.ndarray:
         """Same as `signed_distance(field).interp(points)`."""
-        corners = self.field.interp_corners(points)
-        out = np.zeros(corners[0][1].shape[0])
-        for idx, weight in corners:
-            out += weight * self.at(np.ravel_multi_index(idx, self.field.values.shape))
+        flat, corners = self.field.interp_corners(points)
+        out = np.zeros(flat.shape[0])
+        for offset, weight in corners:
+            out += weight * self.at(flat + offset)
         return out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -62,33 +63,50 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.dim, self.origin.copy(), self.spacing, self.values.copy(), self.time_stamp)
 
-    def interp_corners(self, points: np.ndarray) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
-        """The 2**dim (grid index, weight) pairs that `interp` sums at
-        each point; points are clamped to the grid hull."""
+    def interp_corners(self, points: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+        """What `interp` sums at each point: the flat row-major index of
+        the point's lowest cell corner, and the 2**dim (offset, weight)
+        pairs of the cell's corners, so that corner c is the node
+        ``flat + offset``. Corner c takes bit k of c as its step along
+        axis k. Points are clamped to the grid hull."""
+        shape = self.values.shape
+        if min(shape) < 2:
+            raise ArgumentError("interpolation needs at least two nodes per axis")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = (pts - self.origin) / self.spacing
-        shape = np.array(self.values.shape)
-        rel = np.clip(rel, 0.0, shape - 1.000001)
-        base = np.floor(rel).astype(int)
-        base = np.minimum(base, shape - 2)
-        frac = rel - base
+        flat = 0
+        axis_weights = []
+        for k, n in enumerate(shape):  # one axis at a time, in place
+            frac = pts[:, k] - self.origin[k]
+            frac /= self.spacing
+            np.clip(frac, 0.0, n - 1.000001, out=frac)
+            base = frac.astype(int)  # frac >= 0 here, so truncation is floor
+            np.minimum(base, n - 2, out=base)
+            frac -= base
+            axis_weights.append((1.0 - frac, frac))
+            if k:
+                flat *= n
+                flat += base
+            else:
+                flat = base
+        strides = [math.prod(shape[k + 1 :]) for k in range(self.dim)]
         corners = []
         for corner in range(2**self.dim):
             bits = [(corner >> k) & 1 for k in range(self.dim)]
-            weight = np.ones(pts.shape[0])
-            idx = []
-            for k, b in enumerate(bits):
-                weight = weight * (frac[:, k] if b else 1.0 - frac[:, k])
-                idx.append(base[:, k] + b)
-            corners.append((tuple(idx), weight))
-        return corners
+            weight = axis_weights[0][bits[0]]  # 1.0 * x is exactly x
+            for k in range(1, self.dim):
+                weight = weight * axis_weights[k][bits[k]]
+            corners.append((sum(b * st for b, st in zip(bits, strides)), weight))
+        return flat, corners
 
     def interp(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; clamps to the grid hull."""
-        corners = self.interp_corners(points)
-        out = np.zeros(corners[0][1].shape[0])
-        for idx, weight in corners:
-            out += weight * self.values[idx]
+        flat, corners = self.interp_corners(points)
+        values = self.values.ravel()
+        out = np.zeros(flat.shape[0])
+        for offset, weight in corners:
+            term = values[offset:][flat]  # the nodes flat + offset
+            term *= weight
+            out += term
         return out
 
     def nearest(self, points: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from dualflow.dualtree import (
     TimeLabelledTree,
     Vertex,
     estimate_vote_probability,
+    forest_root_params,
     root_vote_prob_exact,
     sample_vote,
     sample_votes_batch,
@@ -18,8 +20,13 @@ from dualflow.dualtree import (
 )
 from dualflow.errors import ArgumentError, ResourceError
 from dualflow.gfunction import iterate_g, kernel_g, majority_kernel
-from dualflow.models import brownian_motion, nonlinear_voter_dual, ternary_bbm
+from dualflow.models import brownian_motion, nonlinear_voter_dual, sexual_reproduction_dual, ternary_bbm
+from dualflow.onedim import bbm1d_spec, step_profile
+from dualflow.pde import field_from_function
 from dualflow.rng import derive_rng
+from dualflow.verify import plus_phase_profile
+
+from conftest import NLV_RATES
 
 
 
@@ -280,6 +287,33 @@ class TestForest:
                 spec, majority_kernel(), [0.0], 1.0, lambda P: np.full(P.shape[0], 1.0), 100, 1
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, -1e-11, 1 + 1e-11])
+    def test_bad_leaf_probability_rejected(self, bad):
+        leaf = lambda P: np.where(P[:, 0] > 0.0, bad, 0.5)
+        with pytest.raises(ArgumentError, match=r"leaf probabilities must lie in \[0,1\]"):
+            estimate_vote_probability(bbm_spec(), majority_kernel(), [0.3], 0.1, leaf, 50, rng_seed=2)
+
+    def test_leaves_just_outside_unit_interval_are_clipped(self):
+        outside = lambda P: np.where(P[:, 0] > 0.0, 1 + 1e-13, -1e-13)
+        exact = lambda P: np.where(P[:, 0] > 0.0, 1.0, 0.0)
+        a, b = (
+            forest_root_params(bbm_spec(), [0.05], 0.1, leaf, majority_kernel(), 300, np.random.default_rng(4))
+            for leaf in (outside, exact)
+        )
+        assert 0.0 < a.root_params.mean() < 1.0
+        assert a.root_params.tobytes() == b.root_params.tobytes()
+
+    def test_leaf_prob_called_once_per_wave_with_leaves(self):
+        calls = []
+
+        def leaf(P):
+            calls.append(P.shape[0])
+            return np.full(P.shape[0], 0.5)
+
+        res = forest_root_params(bbm_spec(), [0.0], 0.1, leaf, majority_kernel(), 40, np.random.default_rng(1))
+        assert min(calls) > 0 and sum(calls) == res.total_leaves
+        assert 1 < len(calls) <= res.max_depth + 1
+
     def test_reproducible(self):
         spec = bbm_spec()
         p = lambda P: (P[:, 0] >= 0).astype(float)
@@ -354,3 +388,70 @@ class TestRegularContainment:
         frac = hits / n
         se = math.sqrt(0.05 * 0.95 / n)
         assert frac >= 1 - delta - 4 * se
+
+
+def _forest_cases():
+    """(spec, x0, t, leaf_prob, kernel, n_samples) per pinned case."""
+    line = field_from_function(lambda P: P[:, 0] - 0.03, origin=[-1.0], spacing=0.02, extents=[101])
+    circle = field_from_function(
+        lambda P: np.sum(P**2, axis=1) - 0.64, origin=[-1.5, -1.5], spacing=3 / 63, extents=[64, 64]
+    )
+    t1, t2 = ternary_bbm(0.25, 1), ternary_bbm(0.2, 2)
+    sr = sexual_reproduction_dual(0.4, dim=2, mesh=0.1)
+    smooth = lambda P: np.clip(0.5 + P[:, 0] - 0.3 * P[:, 1], 0.0, 1.0)
+    return {
+        "ternary_bbm_d1_plus_phase": (t1.spec, [0.02], 0.1, plus_phase_profile(line, 0.05, 0.0, 1.0), t1.kernel, 400),
+        "ternary_bbm_d2_plus_phase": (t2.spec, [0.75, 0.2], 0.08, plus_phase_profile(circle, 0.05, 0.0, 1.0), t2.kernel, 300),
+        "bbm1d_step": (bbm1d_spec(0.3), [0.05], 0.2, step_profile(0.0, 1.0), majority_kernel(), 400),
+        "sexual_reproduction_lattice_walk": (sr.spec, [0.1, -0.2], 0.3, smooth, sr.kernel, 200),
+    }
+
+
+# SHA-256 of root_params (little-endian f64), total_vertices, total_leaves and
+# max_depth, recorded while leaves were still valued in the backward pass
+PINNED_FORESTS = {
+    "bbm1d_step": (
+        "28c92e70632933ed114a14204344386750dd5287cff4098a594ca6801de8a3ef",
+        56503, 37802, 17,
+    ),
+    "nonlinear_voter_dual_combine": (
+        "e98db8d6a744986ab91376a00f444ef576ded638ab97b53e912febe97f8a5c63",
+        2225, 1792, 9,
+    ),
+    "sexual_reproduction_lattice_walk": (
+        "4355bd84aba459874a3305202b74febf367fa47b2ca40919dc7b459bdadcfb8c",
+        11327, 7618, 18,
+    ),
+    "ternary_bbm_d1_plus_phase": (
+        "3cd05c4cc33db37eb0fd21bdb4c37e76658104624c3cebd0a9f5262edf639749",
+        15937, 10758, 13,
+    ),
+    "ternary_bbm_d2_plus_phase": (
+        "eb654936ef80b4e3ab718a7dfaf873c2a33bb58671fda1b6265265ed2eaeefff",
+        26202, 17568, 15,
+    ),
+}
+
+
+def _forest_digest(res):
+    return (
+        hashlib.sha256(res.root_params.astype("<f8").tobytes()).hexdigest(),
+        res.total_vertices,
+        res.total_leaves,
+        res.max_depth,
+    )
+
+
+class TestForestBitIdentical:
+    @pytest.mark.parametrize("name", sorted(_forest_cases()))
+    def test_forest_digest_pinned(self, name):
+        spec, x0, t, leaf_prob, kernel, n = _forest_cases()[name]
+        res = forest_root_params(spec, x0, t, leaf_prob, kernel, n, np.random.default_rng(sum(map(ord, name))))
+        assert _forest_digest(res) == PINNED_FORESTS[name]
+
+    def test_nlv_combine_digest_pinned(self):
+        bundle = nonlinear_voter_dual(0.5, 2, dim=3, gbar_samples=200, **NLV_RATES)
+        leaf = lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0)
+        rng = np.random.default_rng(2024)
+        res = forest_root_params(bundle.spec, [0.0, 0.0, 0.0], 0.2, leaf, None, 60, rng, combine=bundle.combine)
+        assert _forest_digest(res) == PINNED_FORESTS["nonlinear_voter_dual_combine"]

@@ -187,6 +187,22 @@ class TestKernelG:
         assert back.report.passes == majority_g.report.passes
 
 
+class TestRestoredPolynomial:
+    def test_restored_gbar_keeps_univariate_and_refuses_multivariate(self):
+        g = gbar(2, 3, math.inf, n_samples=200, rng_seed=11, **NLV_RATES)
+        back = GFunction.from_json(g.to_json())
+        ps = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(back.coeffs, g.coeffs)
+        assert np.max(np.abs(back(ps) - g(ps))) <= 1e-14
+        for call in (
+            lambda: back.multi([0.1, 0.9, 0.2, 0.8, 0.5]),
+            lambda: back.combine_params(np.full((2, 5), 0.3)),
+        ):
+            with pytest.raises(ArgumentError, match="multivariate form was not serialised"):
+                call()
+        assert GFunction.from_json(back.to_json()).coeffs.tolist() == g.coeffs.tolist()
+
+
 class TestPolynomialForm:
     @pytest.mark.parametrize("name", ["majority3", "pair_model", "nlv_kernel", "nlv_quintic", "gbar"])
     def test_coefficients_match_evaluation(self, name, majority_g, nlv_g):
@@ -219,3 +235,60 @@ class TestPolynomialForm:
         assert rep.all_pass()
         assert (rep.a, rep.mu, rep.b, rep.delta_star) == (0.0, 0.5, 1.0, 0.091)
         assert rep.derivative_at["mu"] == pytest.approx(1.5, abs=1e-4)
+
+
+def _reference_combine(kernel, child):
+    """The plain definition: every one of the 2**n vote vectors, in
+    pattern order, weight built from ones, summed from zeros."""
+    m, n = child.shape
+    out = np.zeros(m)
+    for pattern in range(2**n):
+        votes = tuple((pattern >> i) & 1 for i in range(n))
+        weight = np.ones(m)
+        for i, v in enumerate(votes):
+            weight = weight * (child[:, i] if v else 1.0 - child[:, i])
+        out += kernel.theta(votes) * weight
+    return out
+
+
+def _combine_kernels():
+    return {
+        "majority3": majority_kernel(3),
+        "majority5": majority_kernel(5),
+        "nlv_kernel": nlv_kernel(**NLV_RATES),
+        "pair_model": ExchangeableKernel(SR_THETA_LEVELS),
+    }
+
+
+class TestCombineParamsBitIdentical:
+    @pytest.mark.parametrize("name", sorted(_combine_kernels()))
+    @pytest.mark.parametrize("m", [0, 1, 7, 500])
+    def test_matches_plain_enumeration(self, name, m):
+        kern = _combine_kernels()[name]
+        rng = np.random.default_rng(m + sum(map(ord, name)))
+        child = rng.random((m, kern.n_children))
+        # exact 0/1 entries, whole 0/1 rows and constant rows
+        child[rng.random(child.shape) < 0.2] = 0.0
+        child[rng.random(child.shape) < 0.2] = 1.0
+        if m >= 7:
+            child[:3] = [[0.0] * kern.n_children, [1.0] * kern.n_children, [0.3] * kern.n_children]
+        got = kern.combine_params(child)
+        assert got.shape == (m,)
+        assert got.tobytes() == _reference_combine(kern, child).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_combine_kernels()))
+    def test_kernel_g_is_the_diagonal(self, name):
+        kern = _combine_kernels()[name]
+        g = kernel_g(kern)
+        ps = np.linspace(0.0, 1.0, 257)
+        diag = np.repeat(ps[:, None], kern.n_children, axis=1)
+        assert g(ps).tobytes() == _reference_combine(kern, diag).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_combine_kernels()))
+    def test_nan_entry_propagates(self, name):
+        kern = _combine_kernels()[name]
+        child = np.full((3, kern.n_children), 0.4)
+        child[1, -1] = np.nan
+        out = kern.combine_params(child)
+        assert np.isnan(out[1]) and not np.isnan(out[[0, 2]]).any()
+        assert out[[0, 2]].tobytes() == _reference_combine(kern, child[[0, 2]]).tobytes()

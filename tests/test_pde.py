@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,3 +325,98 @@ class TestFieldIO:
         f = circle_field(n=32)
         coords = f.coordinates()
         assert np.allclose(f.interp(coords), f.values.ravel(), atol=1e-12)
+
+
+def _reference_corners(field, points):
+    """Plain multilinear corners: clamp to the hull, then one (flat index,
+    weight) pair per corner, weight built from ones."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    shape = np.array(field.values.shape)
+    rel = np.clip((pts - field.origin) / field.spacing, 0.0, shape - 1.000001)
+    base = np.minimum(np.floor(rel).astype(int), shape - 2)
+    frac = rel - base
+    corners = []
+    for corner in range(2**field.dim):
+        weight = np.ones(pts.shape[0])
+        idx = []
+        for k in range(field.dim):
+            b = (corner >> k) & 1
+            weight = weight * (frac[:, k] if b else 1.0 - frac[:, k])
+            idx.append(base[:, k] + b)
+        corners.append((np.ravel_multi_index(tuple(idx), field.values.shape), weight))
+    return corners
+
+
+def _reference_interp(field, points):
+    corners = _reference_corners(field, points)
+    out = np.zeros(corners[0][1].shape[0])
+    for flat, weight in corners:
+        out += weight * field.values.ravel()[flat]
+    return out
+
+
+def _interp_cases():
+    rng = np.random.default_rng(17)
+    return {
+        "1d": field_from_function(lambda P: np.sin(3 * P[:, 0]), origin=[-1.0], spacing=0.07, extents=[31]),
+        "2d": ScalarField(2, [-0.4, 0.3], 0.11, rng.standard_normal((13, 9))),
+        "3d": ScalarField(3, [0.2, -1.0, 0.5], 0.3, rng.standard_normal((5, 7, 4))),
+        "2x2": ScalarField(2, [0.0, 0.0], 1.0, np.array([[1.0, -2.0], [0.5, 3.0]])),
+        "negative_zero": ScalarField(2, [0.0, 0.0], 0.5, np.full((4, 5), -0.0)),
+        "negative_2d": ScalarField(2, [0.0, 0.0], 0.5, -1.0 - rng.random((4, 5))),
+    }
+
+
+def _interp_points(field, rng):
+    lo = field.origin - 3 * field.spacing
+    hi = field.origin + field.spacing * (np.array(field.values.shape) + 2)
+    inside = rng.uniform(lo, hi, size=(400, field.dim))  # points outside the hull too
+    nodes = field.coordinates()[rng.integers(0, field.values.size, size=50)]
+    corner = field.origin + field.spacing * (np.array(field.values.shape) - 1)
+    return np.vstack([inside, nodes, field.origin[None, :], corner[None, :]])
+
+
+class TestInterpBitIdentical:
+    @pytest.mark.parametrize("name", sorted(_interp_cases()))
+    def test_interp_matches_reference_corner_sum(self, name):
+        f = _interp_cases()[name]
+        pts = _interp_points(f, np.random.default_rng(len(name)))
+        got = f.interp(pts)
+        assert got.tobytes() == _reference_interp(f, pts).tobytes()
+        assert got[0:1].tobytes() == f.interp(pts[0]).tobytes()  # a single point
+
+    @pytest.mark.parametrize("name", sorted(_interp_cases()))
+    def test_corners_match_reference(self, name):
+        f = _interp_cases()[name]
+        pts = _interp_points(f, np.random.default_rng(len(name)))
+        flat, got = f.interp_corners(pts)
+        ref = _reference_corners(f, pts)
+        assert len(got) == len(ref) == 2**f.dim
+        for (offset, weight), (ref_flat, ref_weight) in zip(got, ref):
+            assert np.array_equal(flat + offset, ref_flat)
+            assert weight.tobytes() == ref_weight.tobytes()
+
+    def test_single_node_axis_rejected(self):
+        f = ScalarField(2, [0.0, 0.0], 0.5, np.ones((4, 1)))
+        with pytest.raises(ArgumentError, match="two nodes per axis"):
+            f.interp(np.array([[0.6, 0.0]]))
+
+    def test_negative_zero_field_interpolates_to_positive_zero(self):
+        f = _interp_cases()["negative_zero"]
+        out = f.interp(_interp_points(f, np.random.default_rng(0)))
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+
+
+def test_scipy_spatial_is_imported_only_when_a_distance_is_built():
+    import dualflow
+
+    code = (
+        "import sys, dualflow.verify.checks, dualflow.models\n"
+        "assert 'scipy.spatial' not in sys.modules, 'imported at load'\n"
+        "from dualflow.pde import field_from_function, signed_distance\n"
+        "signed_distance(field_from_function(lambda P: P[:, 0], origin=[-1.0], spacing=0.5, extents=[5]))\n"
+        "assert 'scipy.spatial' in sys.modules\n"
+    )
+    src = str(Path(dualflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
