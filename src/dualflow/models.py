@@ -102,10 +102,12 @@ class ModelBundle:
 def brownian_motion(rate: float = 1.0):
     def motion(starts: np.ndarray, durations: np.ndarray, rng: np.random.Generator):
         starts = np.asarray(starts, dtype=float)
-        sd = np.sqrt(rate * np.asarray(durations, dtype=float))[:, None]
+        sd = np.sqrt(rate * np.asarray(durations, dtype=float))
         z = rng.standard_normal(starts.shape)
-        z *= sd  # in place: IEEE + and * commute, so this is starts + sd * z
-        z += starts
+        for k in range(z.shape[1]):  # in place, one column at a time: starts + sd * z
+            col = z[:, k]
+            col *= sd
+            col += starts[:, k]
         return z
 
     return motion

@@ -153,9 +153,10 @@ class ZeroSet:
             self._cloud = zero_crossing_points(field)[:, 0]
         elif self.dim == 2:
             segments = zero_set_segments(field)
-            self._a = segments[:, 0, :]
-            self._ab = segments[:, 1, :] - self._a
-            self._len2 = np.maximum(np.sum(self._ab * self._ab, axis=1), 1e-300)
+            # one contiguous column per axis: segment starts a, directions b - a
+            self._a = segments[:, 0, :].T.copy()
+            self._ab = (segments[:, 1, :] - segments[:, 0, :]).T.copy()
+            self._len2 = np.maximum(self._ab[0] * self._ab[0] + self._ab[1] * self._ab[1], 1e-300)
             self.half_max = 0.5 * math.sqrt(float(self._len2.max()))
             self.tree = cKDTree(0.5 * (segments[:, 0, :] + segments[:, 1, :]))
         else:
@@ -167,16 +168,33 @@ class ZeroSet:
             return np.abs(points - self._cloud[None, :]).min(axis=1)
         if self.dim > 2:
             return self.tree.query(points, k=1)[0]
-        k = min(_K_NEAR, self._a.shape[0])
+        k = min(_K_NEAR, self._len2.size)
         _, idx = self.tree.query(points, k=k)
         if k == 1:
             idx = idx[:, None]
-        a = self._a[idx]  # (n, k, 2)
-        ab = self._ab[idx]
-        t = np.clip(np.sum((points[:, None, :] - a) * ab, axis=2) / self._len2[idx], 0.0, 1.0)
-        off = points[:, None, :] - (a + t[:, :, None] * ab)
+        # (n, k) arrays, one axis at a time, in place; the operations are
+        # those of t = clip(sum((p - a) * ab) / len2, 0, 1) and
+        # off = p - (a + t * ab), summed over the axes in order
+        p = [points[:, [axis]] for axis in range(2)]
+        a = [col[idx] for col in self._a]
+        ab = [col[idx] for col in self._ab]
+        t = np.subtract(p[0], a[0])
+        t *= ab[0]
+        term = np.subtract(p[1], a[1])
+        term *= ab[1]
+        t += term
+        t /= self._len2[idx]
+        np.clip(t, 0.0, 1.0, out=t)
+        for axis in range(2):
+            off = ab[axis]
+            off *= t
+            off += a[axis]
+            np.subtract(p[axis], off, out=off)
+            off *= off
+        dist2 = ab[0]
+        dist2 += ab[1]
         # sqrt is monotone and correctly rounded, so it commutes with the min
-        return np.sqrt(np.sum(off * off, axis=2).min(axis=1))
+        return np.sqrt(dist2.min(axis=1))
 
 
 def _node_sign(field: ScalarField) -> np.ndarray:
@@ -223,8 +241,9 @@ class LazySignedDistance:
         In 2-D the nearest segment midpoint bounds the distance from both
         sides: it lies on the zero set, and no segment reaches further
         than half the longest one from its midpoint. Only the nodes
-        between the two bounds are evaluated. Other dimensions evaluate
-        every node.
+        between the two bounds are evaluated, and only the nodes near a
+        midpoint cell are queried for the nearest midpoint. Other
+        dimensions evaluate every node.
         """
         mask = self._sign == 0  # zero-valued nodes have signed distance 0
         if self.zero_set.half_max is None:
@@ -232,11 +251,33 @@ class LazySignedDistance:
         else:
             margin = 1e-9 * max(1.0, float(np.abs(self.coords).max()))  # rounding
             reach = r0 + self.zero_set.half_max + margin
-            near, _ = self.zero_set.tree.query(self.coords, k=1, distance_upper_bound=reach)
+            near = np.full(mask.size, np.inf)
+            query = np.flatnonzero(self._near_midpoints(reach))
+            near[query] = self.zero_set.tree.query(self.coords[query], k=1, distance_upper_bound=reach)[0]
             mask |= near < r0 - margin
             shell = np.flatnonzero(~mask & (near < reach))
         mask[shell] = np.abs(self.at(shell)) < r0
         return mask
+
+    def _near_midpoints(self, reach: float) -> np.ndarray:
+        """Flat mask of the nodes within ceil(reach / h) + 1 nodes, along
+        every axis, of the node nearest some segment midpoint. A node
+        outside it lies more than reach + h/2 from every midpoint, so its
+        nearest-midpoint query would find nothing within reach."""
+        f = self.field
+        shape = f.values.shape
+        cells = math.ceil(reach / f.spacing) + 1
+        nodes = np.rint((self.zero_set.tree.data - f.origin) / f.spacing).astype(np.int64)
+        mask = np.zeros(shape, dtype=bool)
+        mask[tuple(nodes.T)] = True
+        for axis, n in enumerate(shape):  # dilate by running sums along each axis
+            before = [(0, 0)] * len(shape)
+            before[axis] = (1, 0)
+            run = np.pad(np.cumsum(mask, axis=axis, dtype=np.int64), before)  # run[i] = marks before i
+            i = np.arange(n)
+            hi = run.take(np.minimum(i + cells + 1, n), axis=axis)
+            mask = hi > run.take(np.maximum(i - cells, 0), axis=axis)
+        return mask.ravel()
 
     def interp(self, points: np.ndarray) -> np.ndarray:
         """Same as `signed_distance(field).interp(points)`."""

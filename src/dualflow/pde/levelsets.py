@@ -16,14 +16,15 @@ verified empirically here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..errors import ArgumentError
-from .curvature import _curvature_terms, _first_derivs, _pad_neumann
-from .distance import signed_distance
+from .curvature import _gradient_norm_at, _padded, _Stencil
+from .distance import LazySignedDistance, signed_distance  # noqa: F401 (perfbench/spans.py times this name)
 from .field import ScalarField
 
 __all__ = [
@@ -62,7 +63,9 @@ def curvature_envelope_fields(phi: ScalarField) -> tuple[np.ndarray, np.ndarray,
     """(F_lower, F_upper, |Dphi|) evaluated on the grid by central
     differences, with the eigenvalue envelopes at vanishing gradients."""
     dim = phi.dim
-    d2, grad2, lap, quad = _curvature_terms(phi.values, phi.spacing)
+    stencil = _Stencil(_padded(phi.values), phi.spacing)
+    stencil.curvature_terms()
+    d2, grad2, lap, quad = stencil.d2, stencil.grad2, stencil.lap, stencil.quad
     safe = grad2 > _GRAD_EPS
     common = -0.5 * (lap - np.divide(quad, grad2, out=np.zeros_like(quad), where=safe))
     f_lower = common.copy()
@@ -124,28 +127,6 @@ class DistanceSupersolutionReport:
         return self.min_residual >= -abs(budget)
 
 
-def _wide_laplacian(u: np.ndarray, h: float, step_cells: int) -> np.ndarray:
-    """Second-difference Laplacian at stencil width step_cells * h.
-
-    Distance fields to interpolated zero sets carry per-cell scalloping
-    of amplitude O(spacing^2 * curvature); a one-cell stencil amplifies
-    it to O(curvature) noise, while a wider stencil suppresses it by
-    step_cells^-2 at negligible smooth-truncation cost.
-    """
-    dim = u.ndim
-    k = step_cells
-    up = np.pad(u, k, mode="edge")
-    core = tuple(slice(k, -k) for _ in range(dim))
-    out = np.zeros_like(u)
-    for ax in range(dim):
-        hi = list(core)
-        lo = list(core)
-        hi[ax] = slice(2 * k, None)
-        lo[ax] = slice(None, -2 * k)
-        out = out + (up[tuple(hi)] - 2 * u + up[tuple(lo)]) / (k * h) ** 2
-    return out
-
-
 def check_distance_supersolution(
     phi: ScalarField,
     alpha: float,
@@ -156,34 +137,47 @@ def check_distance_supersolution(
 ) -> DistanceSupersolutionReport:
     """Check dd/dt - Lap d / 2 >= alpha / (4 |D psi|) in the band.
 
-    Builds the tilted surfaces on a uniform time grid over (0, h0],
-    takes their signed distances, and finite-differences in time and
-    space inside {|d| < band_r0}, away from the walls. Sites where
-    |D psi| vanishes inside the band are reported, not raised.
+    Builds the tilted surfaces on a uniform time grid of n_times slices
+    over [0, h0] and finite-differences their signed distances d at the
+    middle slices, on the band {|d| < band_r0} minus the nodes fewer than
+    max(2, lap_step_cells) nodes from a wall: centrally in time, and in
+    space by the second-difference Laplacian at width
+    lap_step_cells * spacing. Distances to an interpolated zero set carry
+    per-cell scalloping of amplitude O(spacing^2 * curvature); a one-cell
+    stencil amplifies it to O(curvature) noise, while the wider stencil
+    suppresses it by lap_step_cells^-2. Distances are evaluated only at
+    the nodes read (the band, its time neighbours and its Laplacian
+    stencil) through `LazySignedDistance`, so each equals that node of
+    `signed_distance`; |D psi| is evaluated on the band only.
+    Sites where |D psi| vanishes inside the band are reported, not raised.
     """
-    if h0 <= 0 or band_r0 <= 0:
-        raise ArgumentError("h0 and band_r0 must be positive")
-    if n_times < 3:
-        raise ArgumentError("need at least 3 time slices")
+    if not (math.isfinite(h0) and h0 > 0 and math.isfinite(band_r0) and band_r0 > 0):
+        raise ArgumentError("h0 and band_r0 must be finite and positive")
+    if not isinstance(n_times, (int, np.integer)) or n_times < 3:
+        raise ArgumentError("n_times must be an integer, at least 3 time slices")
+    if not isinstance(lap_step_cells, (int, np.integer)) or lap_step_cells < 1:
+        raise ArgumentError("lap_step_cells must be a positive integer")
+    margin = max(2, lap_step_cells)
+    shape = phi.values.shape
+    if min(shape) <= 2 * margin:
+        raise ArgumentError(f"grid {shape} has no node {margin} or more nodes from every wall")
     times = np.linspace(0.0, h0, n_times)
     dt = times[1] - times[0]
     h = phi.spacing
     dim = phi.dim
 
     f_lower, _, _ = curvature_envelope_fields(phi)
-    dists = []
-    grads = []
-    for t in times:
-        psi_vals = phi.values - t * (f_lower - alpha)
-        psi = ScalarField(dim, phi.origin.copy(), h, psi_vals, time_stamp=t)
-        dists.append(signed_distance(psi))
-        up = _pad_neumann(psi_vals)
-        d1 = _first_derivs(up, h, dim)
-        grads.append(np.sqrt(sum(d * d for d in d1)))
+    shift = f_lower - alpha
+    coords = phi.coordinates()
+    psis = [ScalarField(dim, phi.origin.copy(), h, phi.values - t * shift, time_stamp=t) for t in times]
+    dists = [LazySignedDistance(psi, coords) for psi in psis]
 
-    margin = max(2, lap_step_cells)
-    interior = np.zeros(phi.values.shape, dtype=bool)
+    interior = np.zeros(shape, dtype=bool)
     interior[tuple(slice(margin, -margin) for _ in range(dim))] = True
+    interior = interior.ravel()
+    # the band keeps margin >= lap_step_cells nodes from the walls, so every
+    # Laplacian stencil node, idx +- lap_step_cells * stride, lies on the grid
+    offsets = [lap_step_cells * math.prod(shape[k + 1 :]) for k in range(dim)]
 
     min_res = np.inf
     argmin = (0.0, tuple(np.zeros(dim)))
@@ -191,31 +185,32 @@ def check_distance_supersolution(
     vanish: list[tuple[float, ...]] = []
     notes: list[str] = []
     max_grad = 0.0
-    coords = phi.coordinates().reshape(phi.values.shape + (dim,))
     for i in range(1, n_times - 1):
-        d_mid = dists[i].values
-        band = (np.abs(d_mid) < band_r0) & interior
-        n_band += int(band.sum())
-        if not band.any():
+        mid = dists[i]
+        idx = np.flatnonzero(mid.band(band_r0) & interior)
+        n_band += idx.size
+        if not idx.size:
             continue
-        ddt = (dists[i + 1].values - dists[i - 1].values) / (2 * dt)
-        lap = _wide_laplacian(d_mid, h, lap_step_cells)
-        grad_psi = grads[i]
-        max_grad = max(max_grad, float(grad_psi[band].max()))
-        zero_grad = band & (grad_psi <= _GRAD_EPS)
+        ddt = (dists[i + 1].at(idx) - dists[i - 1].at(idx)) / (2 * dt)
+        d_mid = mid.at(idx)
+        lap = np.zeros(idx.size)
+        for off in offsets:
+            lap += (mid.at(idx + off) - 2 * d_mid + mid.at(idx - off)) / (lap_step_cells * h) ** 2
+        grad_psi = _gradient_norm_at(mid.field.values, h, idx)
+        max_grad = max(max_grad, float(grad_psi.max()))
+        zero_grad = grad_psi <= _GRAD_EPS
         if zero_grad.any():
-            for ij in np.argwhere(zero_grad)[:16]:
-                vanish.append(tuple(coords[tuple(ij)]))
-            band = band & ~zero_grad
+            for node in idx[zero_grad][:16]:
+                vanish.append(tuple(coords[node]))
         res = ddt - 0.5 * lap - alpha / (4.0 * np.maximum(grad_psi, _GRAD_EPS))
-        res_band = res[band]
+        keep = ~zero_grad
+        res_band = res[keep]
         if res_band.size == 0:
             continue
         j = int(np.argmin(res_band))
         if res_band[j] < min_res:
             min_res = float(res_band[j])
-            where = np.argwhere(band)[j]
-            argmin = (float(times[i]), tuple(coords[tuple(where)]))
+            argmin = (float(times[i]), tuple(coords[idx[keep][j]]))
     if n_band == 0:
         notes.append("band is empty; check is vacuous")
         min_res = 0.0

@@ -16,7 +16,7 @@ from numpy.polynomial import polynomial as P
 
 from ..errors import ArgumentError
 from ..gfunction.gfun import GFunction
-from .curvature import _pad_neumann, _second_derivs
+from .curvature import _padded, _refresh_rim, _Stencil
 from .field import ScalarField
 
 __all__ = ["solve_reaction_diffusion", "reaction_time_step"]
@@ -66,17 +66,25 @@ def solve_reaction_diffusion(
     elif dt > stable:
         raise ArgumentError(f"dt={dt:.3g} exceeds the stability bound {stable:.3g}")
     rate = branch_gamma / epsilon**2
-    u = np.clip(p0.values.copy(), 0.0, 1.0)
+    up = _padded(np.clip(p0.values, 0.0, 1.0))
+    stencil = _Stencil(up, h)
+    u = stencil.u
     t = 0.0
     n_steps = int(np.ceil(T / dt)) if T > 0 else 0
     for step in range(n_steps):
         step_dt = min(dt, T - t)
-        up = _pad_neumann(u)
-        lap = sum(_second_derivs(up, h, dim)[(k, k)] for k in range(dim))
-        u = u + step_dt * (0.5 * lap + rate * (np.asarray(g(u), dtype=float) - u))
+        # u = u + step_dt * (0.5 * lap + rate * (g(u) - u)), in place
+        change = np.asarray(g(u), dtype=float) - u
+        change *= rate
+        lap = stencil.laplacian()
+        lap *= 0.5
+        change += lap
+        change *= step_dt
+        u += change
+        _refresh_rim(up)
         t += step_dt
         if u.min() < -0.1 or u.max() > 1.1:
             raise ArgumentError(
                 f"reaction-diffusion iterate escaped [-0.1, 1.1] at step {step} (t={t:.4g})"
             )
-    return ScalarField(dim, p0.origin.copy(), h, u, time_stamp=p0.time_stamp + T)
+    return ScalarField(dim, p0.origin.copy(), h, u.copy(), time_stamp=p0.time_stamp + T)

@@ -20,7 +20,7 @@ from ..dualtree.estimate import VoteEstimate, estimate_vote_probability
 from ..dualtree.tree import BranchingSpec
 from ..models import ModelBundle
 from ..onedim import _require_kernel, bbm1d_vote_prob
-from ..pde.curvature import _first_derivs, _pad_neumann, evolve_mcf_levelset
+from ..pde.curvature import _gradient_norm_at, evolve_mcf_levelset
 from ..pde.distance import LazySignedDistance, signed_distance
 from ..pde.field import ScalarField
 from ..pde.levelsets import curvature_envelope_fields, psi_alpha_sets
@@ -585,21 +585,20 @@ def check_ito_coupling_drift(
     rng = derive_rng(rng_seed, 0x170)
     with timed_report() as box:
         f_lower, _, _ = curvature_envelope_fields(phi)
+        shift = f_lower - alpha
         taus = t - np.linspace(0.0, s, n_steps + 1)  # backward times along the path
         coords = phi.coordinates()
-        # distances are evaluated only at the band shell and at the
-        # nodes the paths interpolate
+        # distances are evaluated only at the band shell and at the nodes
+        # the paths interpolate, |D psi| only on the band
         dists = []
         L = 0.0  # sup |D psi| over the band, all slices
         for tau in taus:
-            psi = ScalarField(dim, phi.origin.copy(), phi.spacing, phi.values - tau * (f_lower - alpha), tau)
+            psi = ScalarField(dim, phi.origin.copy(), phi.spacing, phi.values - tau * shift, tau)
             dist = LazySignedDistance(psi, coords)
             dists.append(dist)
-            band = dist.band(band_r0)
-            if band.any():
-                d1 = _first_derivs(_pad_neumann(psi.values), phi.spacing, dim)
-                grad = np.sqrt(sum(g * g for g in d1)).ravel()
-                L = max(L, float(grad[band].max()))
+            band = np.flatnonzero(dist.band(band_r0))
+            if band.size:
+                L = max(L, float(_gradient_norm_at(psi.values, phi.spacing, band).max()))
 
         d0 = float(dists[0].interp(x[None, :])[0])
         if abs(d0) >= band_r0:

@@ -1,0 +1,45 @@
+"""The benchmark's gates, run in-process at their smallest size.
+
+Each workload of ``perfbench/workloads.py`` runs its ``setup`` and
+``solve`` at the ``smoke`` size with seed 7. Every gate must pass, and
+the digest of the check statistics must equal the one pinned here, so a
+change that fails a gate or moves a benchmark result bit shows up in
+the test suite, not only in a benchmark run. The digests were recorded
+with numpy 2.4 and scipy 1.17; other versions may round differently.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PINNED_DIGESTS = {
+    "ternary_interface": "c0820fd12798cb43",
+    "nlv_coalescence": "9ceafec3774a821b",
+    "curvature_pde": "d9f3b7a3adbdda35",
+}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_workload_is_pinned(workloads):
+    assert set(workloads.WORKLOADS) == set(PINNED_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_gates_pass_and_digest_pinned(workloads, name):
+    cls = workloads.WORKLOADS[name]
+    workload = cls(ROOT, ROOT / ".perfbench-out")
+    outcome = workload.solve(workload.setup(7, cls.sizes["smoke"], 0))
+    assert [(gate, detail) for gate, passed, detail in outcome.gates if not passed] == []
+    assert outcome.digest == PINNED_DIGESTS[name]

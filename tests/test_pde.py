@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -13,6 +15,8 @@ from dualflow.pde import (
     LazySignedDistance,
     ScalarField,
     check_distance_supersolution,
+    curvature_envelope_fields,
+    curvature_rhs,
     evolve_mcf_levelset,
     extract_zero_set_csv,
     f_lstar,
@@ -25,6 +29,7 @@ from dualflow.pde import (
     solve_reaction_diffusion,
     zero_crossing_points,
 )
+from dualflow.pde.distance import ZeroSet, zero_set_segments
 
 
 def circle_field(n=128, half=2.0, r0=1.0, squared=True):
@@ -115,6 +120,159 @@ class TestLevelSetEvolution:
         with pytest.raises(ArgumentError):
             evolve_mcf_levelset(f, T=0.1, cfl=0.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"T": math.nan},
+            {"T": math.inf},
+            {"T": 0.1, "cfl": math.nan},
+            {"T": 0.1, "reg_delta": math.nan},
+            {"T": 0.1, "reg_delta": math.inf},
+        ],
+    )
+    def test_non_finite_arguments_rejected(self, kwargs):
+        with pytest.raises(ArgumentError):
+            evolve_mcf_levelset(circle_field(n=16), **kwargs)
+
+
+def _evolve_cases():
+    """(field, T, cfl) per case: data with a flat patch (zero gradient) and
+    -0.0 nodes, T off the step grid so that the last step is partial."""
+    rng = np.random.default_rng(23)
+    x = np.linspace(-1.0, 1.0, 101)
+    v1 = np.cos(3.0 * x) - 0.2
+    v1[40:50] = 0.25
+    v1[70] = -0.0
+    v1[80:83] = (-0.0, 0.0, -0.0)  # D^2 u = -0.0 at the middle node
+    a, b = np.meshgrid(np.linspace(-1, 1, 40), np.linspace(-1, 1, 37), indexing="ij")
+    v2 = np.sin(2.0 * a) * np.cos(3.0 * b) + 0.1 * rng.standard_normal((40, 37))
+    v2[5:12, 20:30] = 0.4
+    v2[30, :] = -0.0
+    X, Y, Z = np.meshgrid(*[np.linspace(-1, 1, n) for n in (16, 17, 18)], indexing="ij")
+    v3 = X**2 + 0.5 * Y**2 + 2.0 * Z**2 - 0.4 + 0.05 * rng.standard_normal((16, 17, 18))
+    v3[2:6, 3:7, 4:9] = 1.0
+    v3[8, 8, 8] = -0.0
+    X, Y, Z = np.meshgrid(*[np.linspace(-1, 1, n) for n in (40, 30, 30)], indexing="ij")
+    v4 = np.sin(2.0 * X) + Y * Z - 0.1
+    v4[10:14, :, 5:9] = 0.3
+    return {
+        "1d": (ScalarField(1, [-1.0], 0.02, v1), 0.0123, 0.2),
+        "256x256": (circle_field(n=256, half=3.0, squared=False), 0.00513, 0.2),
+        "40x37": (ScalarField(2, [-1.0, -1.0], 2.0 / 39, v2), 0.0371, 0.2),
+        "16x17x18": (ScalarField(3, [-1.0, -1.0, -1.0], 2.0 / 15, v3), 0.0789, 0.15),
+        # more nodes than one block of the step, the last block partial
+        "300x70": (
+            field_from_function(
+                lambda P: np.hypot(P[:, 0], 3.0 * P[:, 1]) - 1.0, origin=[-1.5, -0.5], spacing=0.01, extents=[300, 70]
+            ),
+            0.00031,
+            0.2,
+        ),
+        "40x30x30": (ScalarField(3, [-1.0, -1.0, -1.0], 2.0 / 29, v4), 0.0111, 0.15),
+    }
+
+
+# SHA-256 of evolve_mcf_levelset(...).values.tobytes(), recorded before the
+# level-set step moved to a reused padded buffer
+PINNED_EVOLVE = {
+    "1d": "09393d61b513ff4c4a67cd19399e48d6cb1f217e99726705644e83862ffa8fe9",
+    "256x256": "d307b714014b9bd41d1d0a5f2b01f2d2918b58ae1a6ffd49023ac249da0359af",
+    "40x37": "11e46e7acbf0cdc7fc296f92615ea5db9997bb3b9a603f9fe2eed7b0e165ba76",
+    "16x17x18": "5db6ab54f13d44b02034c610983aa6f718e603ae13b75e6daf66dbfaa65adc79",
+    "300x70": "83c816eff1125b8d4cce3b028035fc47eba662bc1243eaadfd53c3d572b690d5",
+    "40x30x30": "bf0723f944e3904529e89dda5fc3685549d0cac8961a6fced981e4f449032e29",
+}
+
+
+def _reference_first_derivs(up, h, dim):
+    core = tuple(slice(1, -1) for _ in range(dim))
+    derivs = []
+    for k in range(dim):
+        hi = list(core)
+        lo = list(core)
+        hi[k] = slice(2, None)
+        lo[k] = slice(None, -2)
+        derivs.append((up[tuple(hi)] - up[tuple(lo)]) / (2 * h))
+    return derivs
+
+
+def _reference_second_derivs(up, h, dim):
+    core = tuple(slice(1, -1) for _ in range(dim))
+    out = {}
+    u = up[core]
+    for k in range(dim):
+        hi = list(core)
+        lo = list(core)
+        hi[k] = slice(2, None)
+        lo[k] = slice(None, -2)
+        out[(k, k)] = (up[tuple(hi)] - 2 * u + up[tuple(lo)]) / h**2
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            pp = list(core)
+            pm = list(core)
+            mp = list(core)
+            mm = list(core)
+            pp[k] = slice(2, None)
+            pp[l] = slice(2, None)
+            pm[k] = slice(2, None)
+            pm[l] = slice(None, -2)
+            mp[k] = slice(None, -2)
+            mp[l] = slice(2, None)
+            mm[k] = slice(None, -2)
+            mm[l] = slice(None, -2)
+            out[(k, l)] = (up[tuple(pp)] - up[tuple(pm)] - up[tuple(mp)] + up[tuple(mm)]) / (4 * h**2)
+    return out
+
+
+def _reference_curvature_terms(u, h):
+    """The plain stencil: np.pad per call, a fresh array per derivative,
+    sums through sum(). Returns D^2 u by index pair, |Du|^2, Lap u and
+    Du^T D^2 u Du."""
+    dim = u.ndim
+    up = np.pad(u, 1, mode="edge")
+    d1 = _reference_first_derivs(up, h, dim)
+    d2 = _reference_second_derivs(up, h, dim)
+    grad2 = sum(d * d for d in d1)
+    lap = sum(d2[(k, k)] for k in range(dim))
+    quad = sum(d1[k] * d1[k] * d2[(k, k)] for k in range(dim))
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            quad = quad + 2 * d1[k] * d1[l] * d2[(k, l)]
+    return d2, grad2, lap, quad
+
+
+def _reference_envelopes(phi):
+    d2, grad2, lap, quad = _reference_curvature_terms(phi.values, phi.spacing)
+    safe = grad2 > 1e-12
+    common = -0.5 * (lap - np.divide(quad, grad2, out=np.zeros_like(quad), where=safe))
+    f_lower, f_upper = common.copy(), common.copy()
+    for ij in map(tuple, np.argwhere(~safe)):
+        M = np.empty((phi.dim, phi.dim))
+        for (k, l), d in d2.items():
+            M[k, l] = M[l, k] = d[ij]
+        eigs = np.linalg.eigvalsh(M)
+        f_lower[ij] = -0.5 * (float(np.trace(M)) + eigs[0])
+        f_upper[ij] = -0.5 * (float(np.trace(M)) + eigs[-1])
+    return f_lower, f_upper, np.sqrt(grad2)
+
+
+class TestStencilBitIdentical:
+    @pytest.mark.parametrize("name", sorted(_evolve_cases()))
+    def test_evolve_digest_pinned(self, name):
+        f, T, cfl = _evolve_cases()[name]
+        out = evolve_mcf_levelset(f, T=T, cfl=cfl)
+        assert hashlib.sha256(out.values.tobytes()).hexdigest() == PINNED_EVOLVE[name]
+        assert out.time_stamp == T
+
+    @pytest.mark.parametrize("name", sorted(_evolve_cases()))
+    def test_rhs_and_envelopes_match_reference(self, name):
+        f, _, _ = _evolve_cases()[name]
+        _, grad2, lap, quad = _reference_curvature_terms(f.values, f.spacing)
+        reg = 1e-3
+        assert curvature_rhs(f.values, f.spacing, reg).tobytes() == (0.5 * (lap - quad / (grad2 + reg**2))).tobytes()
+        for got, want in zip(curvature_envelope_fields(f), _reference_envelopes(f)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSignedDistance:
     def test_halfspace_exact(self):
@@ -154,7 +312,8 @@ class TestSignedDistance:
 def _distance_cases():
     """Fields covering every ZeroSet branch: 1-D crossings, 2-D circle,
     plane, a saddle cell, a single segment (k == 1), a zero-valued node
-    away from the interface, and a 3-D sphere."""
+    away from the interface, a circle cut by a wall, a non-square grid, and
+    a 3-D sphere."""
     one_segment = np.ones((3, 3))
     one_segment[0, 0] = -1.0
     touching = np.ones((9, 9))
@@ -173,10 +332,50 @@ def _distance_cases():
         ),
         "one_segment": ScalarField(2, np.zeros(2), 0.5, one_segment),
         "touching_zero": ScalarField(2, np.zeros(2), 0.25, touching),
+        "wall_circle": field_from_function(
+            lambda P: (P[:, 0] - 0.3) ** 2 + (P[:, 1] + 1.0) ** 2 - 0.6, origin=[-1, -1], spacing=2 / 39, extents=[40, 40]
+        ),
+        "non_square": field_from_function(
+            lambda P: P[:, 0] ** 2 + 2.0 * P[:, 1] ** 2 - 0.5, origin=[-1.5, -0.8], spacing=0.04, extents=[70, 41]
+        ),
         "sphere3d": field_from_function(
             lambda P: np.linalg.norm(P, axis=1) - 1.0, origin=[-2, -2, -2], spacing=4 / 15, extents=[16] * 3
         ),
     }
+
+
+def _reference_segment_distance(segments, points):
+    """The (n, k, 2) segment kernel: distance from each point to the nearest
+    of the k segments with the nearest midpoints."""
+    from scipy.spatial import cKDTree
+
+    a = segments[:, 0, :]
+    ab = segments[:, 1, :] - a
+    len2 = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
+    k = min(12, a.shape[0])
+    _, idx = cKDTree(0.5 * (segments[:, 0, :] + segments[:, 1, :])).query(points, k=k)
+    if k == 1:
+        idx = idx[:, None]
+    a, ab = a[idx], ab[idx]
+    t = np.clip(np.sum((points[:, None, :] - a) * ab, axis=2) / len2[idx], 0.0, 1.0)
+    off = points[:, None, :] - (a + t[:, :, None] * ab)
+    return np.sqrt(np.sum(off * off, axis=2).min(axis=1))
+
+
+class TestZeroSetKernel:
+    @pytest.mark.parametrize("name", ["circle", "saddle", "small_circle", "one_segment", "non_square"])
+    def test_matches_reference_kernel(self, name):
+        cases = _distance_cases()
+        cases["small_circle"] = circle_field(n=4, half=1.5)
+        f = cases[name]
+        segments = zero_set_segments(f)
+        assert (segments.shape[0] < 12) == (name in ("small_circle", "one_segment"))
+        assert (segments.shape[0] == 1) == (name == "one_segment")
+        rng = np.random.default_rng(11)
+        lo = f.origin - 2 * f.spacing
+        hi = f.origin + f.spacing * (np.array(f.values.shape) + 1)
+        points = np.vstack([f.coordinates(), rng.uniform(lo, hi, size=(300, 2))])
+        assert ZeroSet(f).distance(points).tobytes() == _reference_segment_distance(segments, points).tobytes()
 
 
 class TestLazySignedDistance:
@@ -204,6 +403,24 @@ class TestLazySignedDistance:
         lazy.band(0.25)
         evaluated = np.count_nonzero(~np.isnan(lazy._values))
         assert 0 < evaluated < 0.1 * f.values.size
+
+    def test_band_queries_under_half_the_nodes(self):
+        f = circle_field(n=128, half=2.0)
+        lazy = LazySignedDistance(f, f.coordinates())
+        tree = lazy.zero_set.tree
+        queried = []
+
+        class CountingTree:
+            data = tree.data
+
+            def query(self, points, **kwargs):
+                if "distance_upper_bound" in kwargs:  # the nearest-midpoint query, not `distance`
+                    queried.append(len(points))
+                return tree.query(points, **kwargs)
+
+        lazy.zero_set.tree = CountingTree()
+        lazy.band(0.35)
+        assert 0 < sum(queried) < 0.5 * f.values.size
 
     @pytest.mark.parametrize("name", ["line1d", "circle", "saddle", "sphere3d"])
     def test_interp_matches_signed_distance(self, name):
@@ -247,6 +464,45 @@ class TestPsiAlpha:
         assert radius == pytest.approx(math.sqrt(1 - h), abs=2e-3)
 
 
+def _supersolution_cases():
+    """(field, kwargs, min_residual, n_band_points, number of vanishing-gradient
+    sites, SHA-256 prefix of the report's repr), recorded while the check
+    still built every signed-distance field in full. The saddle's centre
+    has |D psi| = 0; the 70x50 grid and the 21x22x20 box are not square."""
+    i = (np.arange(41) - 20) * 0.1  # exactly symmetric about the centre node
+    return {
+        "circle128": (
+            circle_field(n=128, half=2.0),
+            dict(alpha=1.0, h0=0.05, band_r0=0.35),
+            0.009315707850749477, 30232, 0, "741c6e7fd4278c07",
+        ),
+        "circle_70x50": (
+            field_from_function(
+                lambda P: np.sum(P**2, axis=1) - 0.5, origin=[-1.5, -1.1], spacing=0.045, extents=[70, 50]
+            ),
+            dict(alpha=0.7, h0=0.04, band_r0=0.3, n_times=7, lap_step_cells=3),
+            -0.3967522419491439, 6352, 0, "770f998b60234009",
+        ),
+        "plane": (
+            field_from_function(lambda P: P[:, 0] + 0.2 * P[:, 1], origin=[-1, -1], spacing=2 / 63, extents=[64, 64]),
+            dict(alpha=0.5, h0=0.1, band_r0=0.3),
+            -7.772207369638483, 7727, 0, "1335e9abac4fc77c",
+        ),
+        "sphere3d": (
+            field_from_function(
+                lambda P: np.linalg.norm(P, axis=1) - 1.0, origin=[-1.6, -1.7, -1.5], spacing=0.16, extents=[21, 22, 20]
+            ),
+            dict(alpha=1.0, h0=0.05, band_r0=0.3, lap_step_cells=2),
+            -2.407285423766087, 11622, 0, "146b94256a591044",
+        ),
+        "saddle": (
+            ScalarField(2, [-2.0, -2.0], 0.1, i[:, None] ** 2 - i[None, :] ** 2),
+            dict(alpha=1.0, h0=0.05, band_r0=0.3, lap_step_cells=2),
+            -12.90620999339215, 4013, 11, "eccfbb8853df0fd4",
+        ),
+    }
+
+
 class TestSupersolution:
     def test_planar_matches_hand_value(self):
         f = field_from_function(lambda P: P[:, 0], origin=[-1, -1], spacing=2 / 63, extents=[64, 64])
@@ -265,6 +521,42 @@ class TestSupersolution:
         f = circle_field(n=96, half=2.0)
         rep = check_distance_supersolution(f, alpha=1.0, h0=0.05, band_r0=0.2)
         assert rep.min_residual > 0.0
+
+    @pytest.mark.parametrize("name", sorted(_supersolution_cases()))
+    def test_report_pinned(self, name):
+        f, kwargs, min_residual, n_band, n_vanishing, digest = _supersolution_cases()[name]
+        rep = check_distance_supersolution(f, **kwargs)
+        assert rep.min_residual == min_residual
+        assert rep.n_band_points == n_band
+        assert len(rep.vanishing_gradient_sites) == n_vanishing
+        assert hashlib.sha256(repr(dataclasses.asdict(rep)).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"h0": math.nan},
+            {"h0": math.inf},
+            {"band_r0": math.nan},
+            {"band_r0": math.inf},
+            {"lap_step_cells": 0},
+            {"lap_step_cells": -2},
+            {"lap_step_cells": 2.5},
+            {"n_times": 9.0},
+            {"n_times": 2},
+            {"lap_step_cells": 40},  # no node is 40 nodes from every wall of a 64^2 grid
+        ],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        f = field_from_function(lambda P: P[:, 0], origin=[-1, -1], spacing=2 / 63, extents=[64, 64])
+        args = {"alpha": 0.5, "h0": 0.1, "band_r0": 0.3, **kwargs}
+        with pytest.raises(ArgumentError):
+            check_distance_supersolution(f, **args)
+
+
+PINNED_REACTION = {
+    "1d": "707082d6fbdb6509b64a518783d4271bd0b514b1cabfca6994cde8822d16537f",
+    "2d": "0dc817dd673b0c81afc87bd6b98a878aeefc14d4348e7a43631fbba5da2cf50c",
+}
 
 
 class TestReactionDiffusion:
@@ -302,6 +594,18 @@ class TestReactionDiffusion:
         out = solve_reaction_diffusion(0.2, g, 1.0, p0, T=0.1)
         assert float(out.interp(np.array([[-1.0]]))[0]) <= 0.02
         assert float(out.interp(np.array([[1.0]]))[0]) >= 0.98
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REACTION))
+    def test_solution_digest_pinned(self, name):
+        # SHA-256 of the solution, recorded before the step moved to a
+        # reused padded buffer
+        rng = np.random.default_rng(31)
+        p0 = {
+            "1d": field_from_function(lambda P: (P[:, 0] >= 0.1).astype(float), origin=[-2.0], spacing=0.01, extents=[401]),
+            "2d": ScalarField(2, [-1.0, -1.0], 0.05, rng.random((30, 25))),
+        }[name]
+        out = solve_reaction_diffusion(0.2, kernel_g(majority_kernel()), 1.0, p0, T=0.0131)
+        assert hashlib.sha256(out.values.tobytes()).hexdigest() == PINNED_REACTION[name]
 
 
 class TestFieldIO:
