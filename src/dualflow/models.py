@@ -400,10 +400,7 @@ def nonlinear_voter_dual(
         return out
 
     def decoration_fn(parents: np.ndarray, offspring: np.ndarray, rng: np.random.Generator):
-        xi = np.rint((offspring - parents[:, None, :]) / mesh).astype(np.int64)
-        # discarded draw: keeps the forest's random stream, so NLV results stay draw-for-draw identical
-        rng.integers(0, 2**63 - 1, size=parents.shape[0])
-        return xi
+        return np.rint((offspring - parents[:, None, :]) / mesh).astype(np.int64)
 
     def combine(child_params: np.ndarray, xi: np.ndarray, rng: np.random.Generator):
         """Batched forest combiner: one coalescing realization per vertex."""

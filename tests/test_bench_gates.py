@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
     "ternary_interface": "c0820fd12798cb43",
-    "nlv_coalescence": "9ceafec3774a821b",
+    "nlv_coalescence": "7f9f436296703e8a",
     "curvature_pde": "d9f3b7a3adbdda35",
 }
 

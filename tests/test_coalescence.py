@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from dualflow.errors import ArgumentError
 from dualflow.gfunction import coalescence_partition_distribution, gbar
 from dualflow.gfunction.coalescence import (
+    _MAX_LEAP,
     _merge_initial_coincidences,
+    _partition_frequencies,
     _run_coalescing,
     sample_box_offsets,
     sample_coalescent_partitions,
@@ -162,6 +165,38 @@ class TestBadWalkInputs:
                 self.START, 3, horizon, jump_rate, 10, np.random.default_rng(0), **args
             )
 
+    @pytest.mark.parametrize(
+        "start,dim,n_samples",
+        [
+            ([[0.4, 0, 0], [0, 0, 0]], 3, 10),
+            (np.full((10, 2, 3), 0.5), 3, 10),
+            ([[math.nan, 0, 0], [0, 0, 0]], 3, 10),
+            ([[math.inf, 0, 0], [0, 0, 0]], 3, 10),
+            ([["0", "0", "0"], ["1", "0", "0"]], 3, 10),
+            ([[0, 0, 0], [2**61 // 3 + 1, 0, 0]], 3, 10),
+            ([[0, 0, 0], [-(2**63), 0, 0]], 3, 10),
+            ([[0, 0, 0], [1, 0, 0]], 3, 2.5),
+            ([[0, 0, 0], [1, 0, 0]], 3, 10.0),
+            ([[0, 0, 0], [1, 0, 0]], 3, True),
+            ([[i] for i in range(43)], 1, 10),
+            ([[], []], 0, 10),
+        ],
+        ids=[
+            "fractional", "fractional_per_sample", "nan", "inf", "strings",
+            "l1_overflow", "int64_min", "n_fractional", "n_float", "n_bool", "43_walkers", "dim_zero",
+        ],
+    )
+    def test_bad_start_or_count_rejected(self, start, dim, n_samples):
+        with pytest.raises(ArgumentError):
+            sample_coalescent_partitions(start, dim, 1.0, 3.0, n_samples, np.random.default_rng(0))
+
+    def test_integral_float_offsets_accepted(self):
+        runs = [
+            sample_coalescent_partitions(start, 3, 4.0, 3.0, 50, np.random.default_rng(3))
+            for start in (self.START, np.asarray(self.START, dtype=float))
+        ]
+        assert np.array_equal(runs[0][0], runs[1][0])
+
     @pytest.mark.parametrize("L,dim", [(1, 1), (0, 3), (0, 1)])
     def test_box_without_four_nonzero_sites_rejected(self, L, dim):
         with pytest.raises(ArgumentError):
@@ -180,22 +215,22 @@ class TestBadWalkInputs:
 
 
 # SHA-256 of the labels (little-endian int64) and of repr((cutoff, notes))
-# for each case below, recorded with the plain one-jump-per-pass
-# implementation; any change to the walk's draws or results shows here.
+# for each case below, recorded with the leaping pass; any change to the
+# walk's draws or results shows here.
 PINNED_WALKS = {
-    "d1_m2_T4": "2fb68c9b608dcf9a438590d46aebc658e285eef87f2a1b0eaa9d331ab009edf9",
-    "d1_m3_inf": "a742e2d0384d07b78e33d035c0c48ead9537018c738379a889773abe695a9bcb",
-    "d2_m3_T0.5": "786bd3e19cf1038923a823dcdb6480968e16e45ad1f468dc26f3b2b80b4e570f",
-    "d2_m5_inf": "20f296b914803506b282157be3c8ead4423a761d2a47d12a0af14d8eaedcc3c5",
-    "d3_m2_inf": "ed0a22ed84cb7fbf2a0773367bcd4021ed6d9247881edf85989d9d2d07bc37d6",
-    "d3_m3_T4_slow": "1ab3e52f583bb5392596c1d29a673c3c8e6de9b0887ddfa8f1e63857e9761b1d",
-    "d3_m5_T4": "fd92bd3b4706b091921728c2df0b45768adcaa581eb74287e7c02b3ec0de05f6",
-    "d3_m5_inf": "ecce59a9567ba0b1b1e2c9af067095982d57039e146fc21aeb2305dd796d8179",
-    "d3_m3_coincident_inf": "179ac15ec4510ae12ed4db1f85a36f537f41da78e9b178000727665d997d5d13",
-    "d3_m5_box_inf": "117c5c715bec439874d8b06821f5109dc9f4ac7f3e7a1feb9549d60e1a03da53",
-    "d3_m5_box_T2": "59979dfd4371a0a013a1fbda8026a5d47729ba924cfbb46c43dbcd5ae4e996da",
-    "d3_m5_box_n1_inf": "99380d1c6896122bf22a82ea917a9353188745aae281ee998b2ab1fa2a9dc37d",
-    "d3_m5_box_n3_inf": "6acb7136f2c326273efbcb0ad968566db6a1237d3d1870d66beb28a9d9b6f466",
+    "d1_m2_T4": "8dc6423475f6c8e423fe2ade1b20e637ad01949f4430bb300288423f3e337b12",
+    "d1_m3_inf": "87c8d7feb1887982a4ad1f55c9d81a2eda2deed9acaf67d57ff6569eb3b99ba1",
+    "d2_m3_T0.5": "8b7c50d43b0540af3030b109e3b43ebc2332db68d7bb5f19344e5c422e36f2f9",
+    "d2_m5_inf": "6ae3f04bd6d2b0d9de70a8d08193ea38ea33b1e586c83b94f9df8393314f50ac",
+    "d3_m2_inf": "8d4eaa1c7d9b3becc82a3bec2d9f8117dcbfc2a08d89eaeefe40caca28960884",
+    "d3_m3_T4_slow": "8b7968a689a67d9dc448aa11a54107a3561d981fde65afaab7d7649da729c6a1",
+    "d3_m5_T4": "0d58bcc152b1fab54b2eee28beeb91d3c3425121644e11daa11b74930880246f",
+    "d3_m5_inf": "e89eca6a049cdd8166a4ca011f096ba9bde5de7d48f913467cc54a326484e021",
+    "d3_m3_coincident_inf": "84bfd0326c4bc34814adb4258283491d2ea5b751a20edc450b7e08fa1ad3f2ce",
+    "d3_m5_box_inf": "1414f7349b6c63f63df49dd529fd0d900f3b5a4be02e53be5dabc447e5d3aa95",
+    "d3_m5_box_T2": "688515672108cda827690c6952e4477c04bd7a87ee89ca56b686aeb420995abc",
+    "d3_m5_box_n1_inf": "8407e4bc32d76bccc14a9d4f19fda083d80a075a4bd4a23a884faecade51570c",
+    "d3_m5_box_n3_inf": "97bf0b19d869b0886a8f845d76d254f8a92a4482e176d3c955a5ba42793fc3d3",
 }
 
 # name: (start, dim, horizon, jump_rate, n_samples); "box" draws per-sample
@@ -284,21 +319,150 @@ def _reference_run_coalescing(pos, rep, t, t_end, jump_rate, rng):
             rep[rr] = sub
 
 
+def _pooled_z(count_a, count_b, n):
+    """Two-sample z of equal-size binomial counts, pooled variance."""
+    p = (count_a + count_b) / (2 * n)
+    return 0.0 if p in (0.0, 1.0) else (count_a - count_b) / math.sqrt(2 * n * p * (1 - p))
+
+
+def _block_counts(rep):
+    m = rep.shape[1]
+    return np.bincount((rep == np.arange(m)).sum(axis=1), minlength=m + 1)
+
+
 @pytest.mark.parametrize("case", range(24))
 def test_walk_pass_equals_reference(case):
-    """Positions, labels, clocks and generator state match the plain
-    definition after each of several successive horizons."""
+    """The leaping pass and the plain one-jump definition give the same
+    block-count law (within 4 sigma, 4000 samples of one random start)
+    after each of several successive horizons, and both leave every
+    clock at the horizon and no two active walkers on one site."""
     gen = np.random.default_rng(case)
-    dim, m, n = int(gen.integers(1, 5)), int(gen.integers(2, 7)), int(gen.integers(1, 120))
-    pos = gen.integers(-2, 3, size=(n, m, dim))
-    rep = np.tile(np.arange(m), (n, 1))
-    _merge_initial_coincidences(pos, rep)
-    state = [(pos, rep, np.zeros(n)), (pos.copy(), rep.copy(), np.zeros(n))]
-    rngs = [np.random.default_rng(1000 + case), np.random.default_rng(1000 + case)]
+    dim, m, n = int(gen.integers(1, 5)), int(gen.integers(2, 7)), 4000
+    start = np.broadcast_to(gen.integers(-2, 3, size=(m, dim)), (n, m, dim))
+    states = []
+    for _ in range(2):
+        pos, rep = start.copy(), np.tile(np.arange(m), (n, 1))
+        _merge_initial_coincidences(pos, rep)
+        states.append((pos, rep, np.zeros(n)))
+    rngs = [np.random.default_rng(1000 + case), np.random.default_rng(2000 + case)]
     for t_end in (0.25, 0.25, 2.0, 9.0):
         jump_rate = float(gen.choice([0.5, dim]))
-        _run_coalescing(*state[0], t_end, jump_rate, rngs[0])
-        _reference_run_coalescing(*state[1], t_end, jump_rate, rngs[1])
-        for new, ref in zip(*state):
-            assert np.array_equal(new, ref)
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        _run_coalescing(*states[0], t_end, jump_rate, rngs[0])
+        _reference_run_coalescing(*states[1], t_end, jump_rate, rngs[1])
+        for pos, rep, t in states:
+            assert (t == t_end).all()
+            for i in range(m):
+                for j in range(i + 1, m):
+                    both = (rep[:, i] == i) & (rep[:, j] == j)
+                    assert not (both & (pos[:, i] == pos[:, j]).all(axis=1)).any()
+        counts = [_block_counts(rep) for _, rep, _ in states]
+        z = [_pooled_z(a, b, n) for a, b in zip(*counts)]
+        assert max(map(abs, z)) <= 4.0, (t_end, z)
+
+
+def _merge_probability_1d(distance, horizon, jump_rate):
+    """P(two walkers on Z at this distance have met by the horizon).
+
+    Their difference jumps +-1 at rate 2 * jump_rate and a merge is its
+    first visit to 0, so the answer is the Poisson(2 * jump_rate *
+    horizon) mixture, over the number of jumps, of the embedded walk's
+    probability to hit 0 within that many steps (dynamic programming on
+    the unabsorbed mass)."""
+    lam = 2.0 * jump_rate * horizon
+    n_max = int(lam + 12 * math.sqrt(lam) + 40)
+    mass = np.zeros(distance + n_max + 2)
+    mass[distance] = 1.0
+    pois = math.exp(-lam)
+    hit, total = 0.0, 0.0
+    for steps in range(n_max + 1):
+        total += pois * hit
+        pois *= lam / (steps + 1)
+        nxt = np.zeros_like(mass)
+        nxt[:-1] += 0.5 * mass[1:]
+        nxt[1:] += 0.5 * mass[:-1]
+        hit += nxt[0]
+        nxt[0] = 0.0
+        mass = nxt
+    return total
+
+
+@pytest.mark.parametrize(
+    "distance,horizons",
+    [(1, (0.5, 2.0)), (2, (1.0,)), (3, (0.25, 0.25, 4.0, 10.0)), (6, (8.0, 30.0)), (15, (40.0,))],
+    ids=repr,
+)
+def test_two_walkers_dim1_match_exact_law(distance, horizons):
+    """The merged fraction of 40,000 pairs matches the exact merge
+    probability within 4 sigma after each of successive horizons."""
+    n, jump_rate = 40_000, 1.0
+    pos = np.zeros((n, 2, 1), dtype=np.int64)
+    pos[:, 1, 0] = distance
+    rep = np.tile(np.arange(2), (n, 1))
+    t = np.zeros(n)
+    rng = np.random.default_rng(distance)
+    for horizon in horizons:
+        _run_coalescing(pos, rep, t, horizon, jump_rate, rng)
+        p = _merge_probability_1d(distance, horizon, jump_rate)
+        merged = float(np.mean(rep[:, 1] == 0))
+        assert abs(merged - p) <= 4 * math.sqrt(p * (1 - p) / n), (horizon, merged, p)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("horizons", [(1.0,), (0.25, 0.25, 2.0, 9.0)], ids=repr)
+def test_box_starts_law_matches_reference(m, horizons):
+    """Block-count frequencies of 20,000 box starts (L = 2 in 3-D, as the
+    NLV bundle draws them) agree with the plain definition within 4 sigma
+    after each horizon, and marked-partition frequencies after the last."""
+    n = 20_000
+    start = sample_box_offsets(2, 3, n, np.random.default_rng(m))[:, :m]
+    states, rngs = [], [np.random.default_rng(10 + m), np.random.default_rng(20 + m)]
+    for _ in range(2):
+        pos, rep = start.copy(), np.tile(np.arange(m), (n, 1))
+        _merge_initial_coincidences(pos, rep)
+        states.append((pos, rep, np.zeros(n)))
+    for horizon in horizons:
+        _run_coalescing(*states[0], horizon, 3.0, rngs[0])
+        _reference_run_coalescing(*states[1], horizon, 3.0, rngs[1])
+        counts = [_block_counts(rep) for _, rep, _ in states]
+        z = [_pooled_z(a, b, n) for a, b in zip(*counts)]
+        assert max(map(abs, z)) <= 4.0, (horizon, z)
+    freq = [_partition_frequencies(rep, np.random.default_rng(5))[0] for _, rep, _ in states]
+    z = [_pooled_z(freq[0].get(p, 0.0) * n, freq[1].get(p, 0.0) * n, n) for p in set(freq[0]) | set(freq[1])]
+    assert max(map(abs, z)) <= 4.0, max(z, key=abs)
+
+
+def test_far_walkers_leap_in_bounded_steps():
+    """Walkers 10**6 apart never meet by t = 2000; each pass takes at
+    most _MAX_LEAP jumps per sample, so memory stays small although the
+    first leap could be 10**6 jumps long."""
+    n = 500
+    pos = np.zeros((n, 2, 3), dtype=np.int64)
+    pos[:, 1, 0] = 10**6
+    rep = np.tile(np.arange(2), (n, 1))
+    tracemalloc.start()
+    try:
+        passes, jumps = _run_coalescing(pos, rep, np.zeros(n), 2000.0, 3.0, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep == np.arange(2)).all()
+    assert jumps <= passes * _MAX_LEAP * n
+    assert jumps == pytest.approx(2 * 3.0 * 2000.0 * n, rel=0.01)
+    assert peak < 32 * 2**20
+
+
+def test_box_walk_pass_count_guard():
+    """750 L = 2 box starts taken through gbar's doubling to the 512 cap
+    need fewer than 2,000 passes (the one-jump-per-pass walk took 8,228)."""
+    n = 750
+    rng = np.random.default_rng(2024)
+    pos = sample_box_offsets(2, 3, n, rng)
+    rep = np.tile(np.arange(5), (n, 1))
+    _merge_initial_coincidences(pos, rep)
+    t = np.zeros(n)
+    passes = 0
+    cutoff = 8.0
+    while cutoff <= 512.0:
+        passes += _run_coalescing(pos, rep, t, cutoff, 3.0, rng)[0]
+        cutoff *= 2
+    assert passes < 2000

@@ -342,7 +342,7 @@ class TestTreeJson:
 
 @pytest.fixture(scope="module")
 def nlv_tree():
-    # a 5-ary genealogy with 3 branching events, each decorated with its
+    # a 5-ary genealogy with 14 branching events, each decorated with its
     # (5, 3) int64 lattice displacement array
     bundle = nonlinear_voter_dual(0.45, L=2, dim=3, gbar_samples=200, gbar_seed=1)
     return bundle, simulate_tree(bundle.spec, [0.0, 0.0, 0.0], 0.15, rng_seed=5)
@@ -352,7 +352,7 @@ class TestDecoratedTree:
     def test_json_roundtrip_keeps_decorations(self, nlv_tree):
         _, tree = nlv_tree
         decorated = {u: v.decoration for u, v in tree.vertices.items() if v.decoration is not None}
-        assert len(decorated) == 3
+        assert len(decorated) == len(tree.internal()) == 14
         back = TimeLabelledTree.from_json(tree.to_json())
         back.validate()
         assert back.to_json() == tree.to_json()
@@ -415,8 +415,8 @@ PINNED_FORESTS = {
         56503, 37802, 17,
     ),
     "nonlinear_voter_dual_combine": (
-        "e98db8d6a744986ab91376a00f444ef576ded638ab97b53e912febe97f8a5c63",
-        2225, 1792, 9,
+        "ad84a7196173a666124c751b32e2f4dcbc8352d8e6899720713485b206cda9e1",
+        2365, 1904, 9,
     ),
     "sexual_reproduction_lattice_walk": (
         "4355bd84aba459874a3305202b74febf367fa47b2ca40919dc7b459bdadcfb8c",
