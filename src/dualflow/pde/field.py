@@ -63,18 +63,16 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.dim, self.origin.copy(), self.spacing, self.values.copy(), self.time_stamp)
 
-    def interp_corners(self, points: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-        """What `interp` sums at each point: the flat row-major index of
-        the point's lowest cell corner, and the 2**dim (offset, weight)
-        pairs of the cell's corners, so that corner c is the node
-        ``flat + offset``. Corner c takes bit k of c as its step along
-        axis k. Points are clamped to the grid hull."""
+    def cell_index(self, points: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The flat row-major index of each point's lowest cell corner, and
+        the point's offset in [0, 1] within its cell along each axis.
+        Points are clamped to the grid hull."""
         shape = self.values.shape
         if min(shape) < 2:
             raise ArgumentError("interpolation needs at least two nodes per axis")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         flat = 0
-        axis_weights = []
+        fractions = []
         for k, n in enumerate(shape):  # one axis at a time, in place
             frac = pts[:, k] - self.origin[k]
             frac /= self.spacing
@@ -82,12 +80,25 @@ class ScalarField:
             base = frac.astype(int)  # frac >= 0 here, so truncation is floor
             np.minimum(base, n - 2, out=base)
             frac -= base
-            axis_weights.append((1.0 - frac, frac))
+            fractions.append(frac)
             if k:
                 flat *= n
                 flat += base
             else:
                 flat = base
+        return flat, fractions
+
+    def interp_corners(self, points: np.ndarray) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+        """What `interp` sums at each point: the flat index of `cell_index`,
+        and the 2**dim (offset, weight) pairs of the cell's corners, so that
+        corner c is the node ``flat + offset``. Corner c takes bit k of c as
+        its step along axis k. The weights are >= 0 and sum to 1."""
+        flat, fractions = self.cell_index(points)
+        return flat, self._corners(fractions)
+
+    def _corners(self, fractions: list[np.ndarray]) -> list[tuple[int, np.ndarray]]:
+        shape = self.values.shape
+        axis_weights = [(1.0 - frac, frac) for frac in fractions]
         strides = [math.prod(shape[k + 1 :]) for k in range(self.dim)]
         corners = []
         for corner in range(2**self.dim):
@@ -96,14 +107,17 @@ class ScalarField:
             for k in range(1, self.dim):
                 weight = weight * axis_weights[k][bits[k]]
             corners.append((sum(b * st for b, st in zip(bits, strides)), weight))
-        return flat, corners
+        return corners
 
     def interp(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; clamps to the grid hull."""
-        flat, corners = self.interp_corners(points)
+        return self.interp_cells(*self.cell_index(points))
+
+    def interp_cells(self, flat: np.ndarray, fractions: list[np.ndarray]) -> np.ndarray:
+        """`interp` at the points that `cell_index` placed at (flat, fractions)."""
         values = self.values.ravel()
         out = np.zeros(flat.shape[0])
-        for offset, weight in corners:
+        for offset, weight in self._corners(fractions):
             term = values[offset:][flat]  # the nodes flat + offset
             term *= weight
             out += term

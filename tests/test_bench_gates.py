@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
-    "ternary_interface": "c0820fd12798cb43",
+    "ternary_interface": "948f2fbd80d8c09f",
     "nlv_coalescence": "7f9f436296703e8a",
     "curvature_pde": "d9f3b7a3adbdda35",
 }

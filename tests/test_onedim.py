@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from dualflow.gfunction import majority_kernel
+from dualflow.gfunction import kernel_g, majority_kernel
 from dualflow.onedim import (
     bbm1d_vote_prob,
     default_z_grid,
     interface_profile,
     slope_check,
 )
+from dualflow.pde import solve_reaction_diffusion
+from dualflow.verify import checks
 
 EPS = 0.25
 KERNEL = majority_kernel(3)
@@ -114,6 +116,36 @@ def fine_grid(eps, span_units=2.0):
     scale = eps * abs(math.log(eps))
     n = int(2 * span_units * 10) + 1
     return np.linspace(-span_units * scale, span_units * scale, n)
+
+
+class TestExactProfile:
+    """The step-data profile solves u_t = u_zz / 2 + eps^-2 (g(u) - u)
+    (McKean); `check_propagation_vs_1d` reads it from that PDE."""
+
+    def test_monte_carlo_profile_matches_pde(self, formed_profile):
+        # within 4 sigma plus the half-step budget. A tree's value lies in
+        # [0, 1], so its variance is at most u (1 - u); that bound stands in
+        # for the sample stderr, which is 0 where every tree agrees
+        z, t = formed_profile.z_grid, formed_profile.t
+        reach = 6.0 * math.sqrt(t)
+        step = checks._step_data_field(0.0, 1.0, z[0] - reach, z[-1] + reach, EPS / 40)
+        coarse, u = checks._reaction_diffusion_at(EPS, kernel_g(KERNEL), 1.0, step, np.full(z.size, t), z[:, None])
+        sigma = np.maximum(formed_profile.stderrs, np.sqrt(u * (1.0 - u) / 2500))
+        assert np.all(np.abs(formed_profile.values - u) <= 4.0 * sigma + np.abs(coarse - u))
+
+    def test_half_step_term_is_first_order(self):
+        # halving h and dt halves the difference between successive solves
+        g = kernel_g(KERNEL)
+        z = np.linspace(-0.6, 0.9, 31)[:, None]
+        data = checks._step_data_field(0.0, 1.0, -3.0, 3.0, 0.2 / 20)
+        solves = []
+        for k in range(4):
+            solves.append(solve_reaction_diffusion(0.2, g, 1.0, data, 0.08, dt=2e-3 / 2**k).interp(z))
+            data = checks._refined(data)
+        terms = [np.abs(a - b).max() for a, b in zip(solves, solves[1:])]
+        assert terms[0] < 1e-3
+        for coarse, fine in zip(terms, terms[1:]):
+            assert 0.4 <= fine / coarse <= 0.6
 
 
 class TestSlope:

@@ -30,6 +30,7 @@ from dualflow.pde import (
     zero_crossing_points,
 )
 from dualflow.pde.distance import ZeroSet, zero_set_segments
+from dualflow.pde.reaction import DEFAULT_SAFETY
 
 
 def circle_field(n=128, half=2.0, r0=1.0, squared=True):
@@ -554,8 +555,8 @@ class TestSupersolution:
 
 
 PINNED_REACTION = {
-    "1d": "707082d6fbdb6509b64a518783d4271bd0b514b1cabfca6994cde8822d16537f",
-    "2d": "0dc817dd673b0c81afc87bd6b98a878aeefc14d4348e7a43631fbba5da2cf50c",
+    "1d": "7def4da7be0484afd77b1104974a90f58908cdf0475ee1f5392b440effddbcdb",
+    "2d": "e19c33065612280390afa4e3ed5d075d2af197bb0cb4be3da66f54f96a007ee8",
 }
 
 
@@ -584,7 +585,7 @@ class TestReactionDiffusion:
     def test_reaction_bound_uses_exact_stiffness(self, levels):
         # oracle: max |g' - 1| over [0,1] is 1, reached at p = 1 by both the
         # majority cubic 3p^2 - 2p^3 and the pair-model cubic (9/11)(p + p^2 - p^3);
-        # a coarse grid makes the reaction bound eps^2 / (4 gamma |g' - 1|) bind
+        # the step bound is eps^2 / (4 gamma |g' - 1|) on any grid
         g = kernel_g(ExchangeableKernel(levels))
         assert reaction_time_step(0.3, g, 1.0, spacing=10.0, dim=1) == pytest.approx(0.3**2 / 4.0, rel=1e-15)
 
@@ -595,10 +596,45 @@ class TestReactionDiffusion:
         assert float(out.interp(np.array([[-1.0]]))[0]) <= 0.02
         assert float(out.interp(np.array([[1.0]]))[0]) >= 0.98
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"dt": -1.0},
+            {"dt": 0.0},
+            {"dt": math.nan},
+            {"safety": -0.5},
+            {"safety": 0.0},
+            {"safety": 1.5},
+            {"T": math.nan},
+            {"T": math.inf},
+            {"T": -0.1},
+            {"epsilon": math.inf},
+            {"epsilon": math.nan},
+            {"branch_gamma": math.inf},
+            {"branch_gamma": math.nan},
+        ],
+    )
+    def test_bad_arguments_rejected(self, override):
+        p0 = field_from_function(lambda P: (P[:, 0] > 0).astype(float), origin=[-1.0], spacing=0.02, extents=[101])
+        kw = dict(epsilon=0.3, g=kernel_g(majority_kernel()), branch_gamma=1.0, p0=p0, T=0.05)
+        kw.update(override)
+        with pytest.raises(ArgumentError):
+            solve_reaction_diffusion(**kw)
+
+    def test_default_step_is_safety_times_reaction_bound(self):
+        # the implicit diffusion bounds no step, even on this fine grid
+        g = kernel_g(majority_kernel())
+        p0 = field_from_function(lambda P: (P[:, 0] > 0).astype(float), origin=[-1.0], spacing=0.02, extents=[101])
+        stable = reaction_time_step(0.3, g, 1.0, p0.spacing, 1)
+        assert stable == pytest.approx(0.3**2 / 4.0, rel=1e-15)  # no diffusion bound
+        default = solve_reaction_diffusion(0.3, g, 1.0, p0, T=0.05)
+        explicit = solve_reaction_diffusion(0.3, g, 1.0, p0, T=0.05, dt=DEFAULT_SAFETY * stable)
+        assert default.values.tobytes() == explicit.values.tobytes()
+        assert default.time_stamp == 0.05
+
     @pytest.mark.parametrize("name", sorted(PINNED_REACTION))
     def test_solution_digest_pinned(self, name):
-        # SHA-256 of the solution, recorded before the step moved to a
-        # reused padded buffer
+        # SHA-256 of the semi-implicit solution (LAPACK's tridiagonal solver)
         rng = np.random.default_rng(31)
         p0 = {
             "1d": field_from_function(lambda P: (P[:, 0] >= 0.1).astype(float), origin=[-2.0], spacing=0.01, extents=[401]),
@@ -723,4 +759,21 @@ def test_scipy_spatial_is_imported_only_when_a_distance_is_built():
     )
     src = str(Path(dualflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_benchmark_imports_load_no_slow_scipy_module():
+    # scipy.linalg and scipy.spatial take ~0.4 s each to load, so the solver
+    # and the distances import them on first use, not at load
+    import dualflow
+
+    root = Path(dualflow.__file__).resolve().parents[2]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "import dualflow, workloads\n"
+        "slow = [m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.spatial'))]\n"
+        "assert slow == [], slow\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

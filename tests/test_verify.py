@@ -12,7 +12,7 @@ from dualflow.models import (
     ternary_bbm,
 )
 from dualflow.onedim import step_profile
-from dualflow.pde import field_from_function
+from dualflow.pde import ScalarField, field_from_function
 from dualflow.verify import (
     check_allen_cahn_duality,
     check_diffusivity,
@@ -24,6 +24,8 @@ from dualflow.verify import (
     check_monotonicity,
     check_propagation_vs_1d,
     check_semigroup,
+    minus_phase_profile,
+    plus_phase_profile,
 )
 
 
@@ -47,6 +49,45 @@ def bbm1():
 @pytest.fixture(scope="module")
 def bbm2():
     return ternary_bbm(0.2, 2)
+
+
+def _sign_case_field(dim: int) -> ScalarField:
+    """Corner values near the sign boundaries: exact and negative zeros,
+    subnormals, 1e-300 and its neighbours, with whole cells of each."""
+    rng = np.random.default_rng(dim)
+    levels = [-1.0, -1e-300, -1e-310, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 1e-300, 2e-300, 1.0]
+    values = rng.choice(levels, size=(2 * len(levels) + 4,) + (5,) * (dim - 1))
+    for i, level in enumerate(levels):  # one cell with every corner at the level
+        values[(slice(2 * i, 2 * i + 2),) + (slice(0, 2),) * (dim - 1)] = level
+    return ScalarField(dim, np.linspace(-0.3, 0.4, dim), 0.1, values)
+
+
+class TestPhaseProfileTable:
+    """A field's phase profiles decide most points from a per-cell table;
+    they must equal interpolating every point, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_profiles_equal_interpolated_sign(self, dim):
+        phi = _sign_case_field(dim)
+        rng = np.random.default_rng(10 + dim)
+        h, shape = phi.spacing, np.array(phi.values.shape)
+        nodes = phi.coordinates()
+        lo, hi = phi.origin - 3 * h, phi.origin + h * (shape + 2)
+        points = np.vstack([
+            nodes,
+            nodes + 0.5 * h * np.eye(dim)[rng.integers(0, dim, size=len(nodes))],  # cell edges
+            nodes + 0.5 * h,  # cell centres, and points past the far walls
+            rng.uniform(lo, hi, size=(500, dim)),  # outside the hull too
+        ])
+        vals = phi.interp(points)
+        cases = [
+            (plus_phase_profile(phi, 0.05, 0.1, 0.9), np.where(vals <= 0.0, 0.1 + 0.05, 0.9)),
+            (minus_phase_profile(phi, 0.05, 0.1, 0.9), np.where(vals >= 0.0, 0.9 - 0.05, 0.1)),
+        ]
+        for profile, expected in cases:
+            got = profile(points)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestSemigroup:
@@ -134,6 +175,14 @@ class TestGeometryChecks:
         with pytest.raises(ArgumentError, match="no 1-D voting kernel"):
             check_propagation_vs_1d(
                 nlv, phi, alpha=1.0, delta=0.05, epsilon=0.3, time_grid=[0.08], n_samples=10, rng_seed=5
+            )
+
+    @pytest.mark.parametrize("time_grid", [[], [-0.1], [0.08, math.nan], [math.inf]])
+    def test_propagation_rejects_bad_time_grid(self, bbm2, time_grid):
+        with pytest.raises(ArgumentError, match="time_grid"):
+            check_propagation_vs_1d(
+                bbm2, circle_phi(), alpha=1.0, delta=0.05, epsilon=0.2,
+                time_grid=time_grid, n_samples=10, rng_seed=5,
             )
 
     def test_flow_consistency_both_variants(self):
