@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import ArgumentError
-from ..gfunction.kernels import VotingKernel
+from ..gfunction.kernels import ExchangeableKernel
 from ..rng import derive_rng
 from .forest import forest_root_params
 from .tree import BranchingSpec, DEFAULT_VERTEX_BUDGET
@@ -42,7 +42,7 @@ class VoteEstimate:
 
 def estimate_vote_probability(
     spec: BranchingSpec,
-    kernel: Optional[VotingKernel],
+    kernel: Optional[ExchangeableKernel],
     x,
     t: float,
     p: Callable[[np.ndarray], np.ndarray],

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import ArgumentError, ResourceError
-from ..gfunction.kernels import VotingKernel
+from ..gfunction.kernels import ExchangeableKernel
 from .tree import BranchingSpec, DEFAULT_VERTEX_BUDGET, expected_population
 
 __all__ = ["forest_root_params", "ForestResult"]
@@ -52,7 +52,7 @@ def forest_root_params(
     x0,
     t: float,
     leaf_prob: Callable[[np.ndarray], np.ndarray],
-    kernel: Optional[VotingKernel],
+    kernel: Optional[ExchangeableKernel],
     n_samples: int,
     rng: np.random.Generator,
     max_vertices: int = DEFAULT_VERTEX_BUDGET,

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ArgumentError, ResourceError
 from ..gfunction.gfun import GFunction
-from ..gfunction.kernels import VotingKernel
+from ..gfunction.kernels import ExchangeableKernel
 from ..rng import derive_rng
 
 __all__ = [
@@ -261,7 +261,7 @@ def _leaf_prob(leaf_prob, position: np.ndarray) -> float:
 def root_vote_prob_exact(
     tree: TimeLabelledTree,
     leaf_prob: Callable[[np.ndarray], float],
-    g: GFunction | VotingKernel,
+    g: GFunction | ExchangeableKernel,
 ) -> float:
     """Deterministic bottom-up recursion for the root's vote parameter.
 
@@ -275,18 +275,15 @@ def root_vote_prob_exact(
         if tree.is_leaf(u):
             params[u] = _leaf_prob(leaf_prob, tree.vertices[u].position_at_death)
         else:
-            child_params = [params[c] for c in tree.children_of(u)]
-            if isinstance(g, GFunction):
-                params[u] = g.multi(child_params)
-            else:
-                params[u] = float(g.combine_params(np.array([child_params]))[0])
+            row = np.array([[params[c] for c in tree.children_of(u)]])
+            params[u] = float(g.combine_params(row)[0])
     return params[ROOT]
 
 
 def sample_vote(
     tree: TimeLabelledTree,
     leaf_votes: dict[UlamIndex, int],
-    kernel: VotingKernel,
+    kernel: ExchangeableKernel,
     rng_seed: int,
 ) -> int:
     """One bottom-up sampled evaluation of the voting algorithm."""
@@ -296,7 +293,7 @@ def sample_vote(
 def _thin_up(
     tree: TimeLabelledTree,
     votes: dict[UlamIndex, np.ndarray],
-    kernel: VotingKernel,
+    kernel: ExchangeableKernel,
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -318,7 +315,7 @@ def _thin_up(
 def sample_votes_batch(
     tree: TimeLabelledTree,
     leaf_votes: dict[UlamIndex, int],
-    kernel: VotingKernel,
+    kernel: ExchangeableKernel,
     n_samples: int,
     rng_seed: int,
 ) -> np.ndarray:
@@ -344,7 +341,7 @@ def sample_votes_batch(
 def sample_root_votes(
     tree: TimeLabelledTree,
     leaf_prob: Callable[[np.ndarray], float],
-    kernel: VotingKernel,
+    kernel: ExchangeableKernel,
     n_samples: int,
     rng_seed: int,
 ) -> np.ndarray:

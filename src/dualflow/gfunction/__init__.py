@@ -1,7 +1,6 @@
 """g-function construction, evaluation, iteration and verification."""
 
 from .kernels import (
-    VotingKernel,
     ExchangeableKernel,
     majority_kernel,
     eval_multivariate_g,
@@ -21,7 +20,7 @@ from .nlv import (
     nlv_rate_flags,
     nlv_kernel,
     nlv_polynomial_g,
-    g_pi,
+    g_pi_batch,
     singleton_partition,
 )
 from .coalescence import (
@@ -31,7 +30,6 @@ from .coalescence import (
 )
 
 __all__ = [
-    "VotingKernel",
     "ExchangeableKernel",
     "majority_kernel",
     "eval_multivariate_g",
@@ -47,7 +45,7 @@ __all__ = [
     "nlv_rate_flags",
     "nlv_kernel",
     "nlv_polynomial_g",
-    "g_pi",
+    "g_pi_batch",
     "singleton_partition",
     "PartitionDistribution",
     "coalescence_partition_distribution",

@@ -440,9 +440,10 @@ def gbar(
     Offspring offsets are drawn from the box measure (origin plus four
     distinct sites of [-L, L]^dim), coalescing walks are run to the
     horizon, and every marked partition contributes its g^pi weighted
-    by its empirical frequency. The returned GFunction caches the
-    weight vector, per-weight standard errors and the polynomial
-    coefficients of the univariate effective g.
+    by its empirical frequency: the coefficients of g are the weighted
+    sum of the g^pi coefficients, and the multivariate form the weighted
+    sum of the g^pi. The metadata records the weights, their standard
+    errors and the coefficients (``poly_coeffs``).
     """
     if L < 1:
         raise ArgumentError("box half-width L must be >= 1")
@@ -462,13 +463,8 @@ def gbar(
     parts = list(weights)
     wvec = np.array([weights[p] for p in parts])
 
-    def univariate(p):
-        return np.polynomial.polynomial.polyval(np.asarray(p, dtype=float), coeffs)
-
     def multivariate(rows):
-        vals = np.array([g_pi_batch(part, rows, a1, a2, a3, a4) for part in parts])
-        # one dot per row, in the summation order of a single-row evaluation
-        return np.array([np.dot(wvec, v) for v in np.ascontiguousarray(vals.T)])
+        return wvec @ np.array([g_pi_batch(part, rows, a1, a2, a3, a4) for part in parts])
 
     meta = {
         "rates": {"a1": a1, "a2": a2, "a3": a3, "a4": a4},
@@ -482,5 +478,5 @@ def gbar(
         "n_samples": n_samples,
         "notes": notes,
     }
-    return GFunction(5, univariate, multivariate, coeffs, label=f"gbar(L={L})", metadata=meta)
+    return GFunction(5, coeffs, multivariate, label=f"gbar(L={L})", metadata=meta)
 

@@ -19,8 +19,8 @@ Axiom identifiers used in reports (the customary numbering skips "g4"):
 Every g here is a polynomial, and a GFunction carries its power-basis
 coefficients. The axiom scan reads only those: fixed points are the
 polished roots of g(p) - p and derivatives come from the derivative
-polynomial, both exact to rounding. Evaluation at run time uses the
-callables the g was built with and does not touch the coefficients.
+polynomial, both exact to rounding. Evaluating g(p) is Horner on the
+same coefficients: there is no other univariate form.
 """
 
 from __future__ import annotations
@@ -91,25 +91,23 @@ class GAxiomReport:
 
 
 class GFunction:
-    """Univariate + multivariate g with its polynomial coefficients and
-    an optional cached axiom report.
+    """A g-function: its power-basis polynomial, with the optional
+    multivariate form and a cached axiom report.
 
-    ``univariate`` accepts scalars or numpy arrays in [0,1] (values
-    outside are clamped: g is extended constant outside the unit
-    interval). ``multivariate`` maps an (m, n_children) matrix of
-    probabilities to the m parent parameters; it is None for a g restored
-    from a serialised polynomial, whose multivariate form was not kept,
-    and `multi`/`combine_params` then raise. ``coeffs`` are the
-    power-basis coefficients (ascending) of the univariate polynomial;
-    the axiom scan reads only them, evaluation only the two callables.
+    ``coeffs`` (ascending powers) are the univariate g, and its only
+    form: ``g(p)`` evaluates them at p clipped to [0,1] (g is extended
+    constant outside the unit interval), and the axiom scan reads them
+    exactly. ``multivariate`` maps an (m, n_children) matrix of
+    probabilities to the m parent parameters; it is None when the
+    multivariate form is unknown (a gbar restored from JSON), and
+    `combine_params` then raises.
     """
 
     def __init__(
         self,
         n_children: int,
-        univariate: Callable[[np.ndarray], np.ndarray],
-        multivariate: Optional[Callable[[np.ndarray], np.ndarray]],
-        coeffs: Optional[Sequence[float]] = None,
+        coeffs: Sequence[float],
+        multivariate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         label: str = "",
         report: Optional[GAxiomReport] = None,
         metadata: Optional[dict] = None,
@@ -118,101 +116,78 @@ class GFunction:
         if coeffs.ndim != 1 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
             raise ArgumentError("a g-function needs its finite power-basis coefficients")
         self.n_children = n_children
-        self._univariate = univariate
-        self._multivariate = multivariate
         self.coeffs = coeffs
+        self._multivariate = multivariate
         self.label = label
         self.report = report
         self.metadata = metadata or {}
 
     def __call__(self, p):
-        p = np.clip(p, 0.0, 1.0)
-        return self._univariate(p)
-
-    def multi(self, probs: Sequence[float]) -> float:
-        return float(self._multi_rows(np.asarray(probs, dtype=float)[None, :])[0])
-
-    def _require_multivariate(self) -> None:
-        if self._multivariate is None:
-            raise ArgumentError(f"{self!r}: the multivariate form was not serialised")
-
-    def _multi_rows(self, rows: np.ndarray) -> np.ndarray:
-        self._require_multivariate()
-        if rows.ndim != 2 or rows.shape[1] != self.n_children:
-            raise ArgumentError(f"expected {self.n_children} probabilities per row, got shape {rows.shape}")
-        if np.any(rows < 0.0) or np.any(rows > 1.0):
-            raise ArgumentError("probabilities must lie in [0,1]")
-        return self._multivariate(rows)
+        return P.polyval(np.clip(p, 0.0, 1.0), self.coeffs)
 
     def combine_params(self, child_params: np.ndarray) -> np.ndarray:
         """Row-wise multivariate evaluation of an (m, n_children) matrix.
 
-        Rows with equal entries short-circuit through the univariate map.
+        Rows with equal entries go through the polynomial, so a constant
+        passes up a genealogy exactly as :func:`iterate_g` composes g.
         """
-        self._require_multivariate()
+        if self._multivariate is None:
+            raise ArgumentError(f"{self!r}: the multivariate form was not serialised")
         child_params = np.asarray(child_params, dtype=float)
+        if child_params.ndim != 2 or child_params.shape[1] != self.n_children:
+            raise ArgumentError(f"expected {self.n_children} probabilities per row, got shape {child_params.shape}")
+        if np.any(child_params < 0.0) or np.any(child_params > 1.0):
+            raise ArgumentError("probabilities must lie in [0,1]")
         constant = np.all(child_params == child_params[:, :1], axis=1)
         out = np.empty(child_params.shape[0])
         if constant.any():
-            out[constant] = np.asarray(self(child_params[constant, 0]), dtype=float)
+            out[constant] = self(child_params[constant, 0])
         if not constant.all():
-            out[~constant] = self._multi_rows(child_params[~constant])
+            out[~constant] = self._multivariate(child_params[~constant])
         return out
 
     def __repr__(self):
         return f"GFunction({self.label or 'anonymous'}, n_children={self.n_children})"
 
     def to_json(self) -> str:
-        """Serialize. Only works for g built from declared metadata
-        (polynomial coefficients or kernel levels); opaque callables
-        cannot round-trip."""
-        meta = dict(self.metadata)
-        if "poly_coeffs" not in meta and "kernel_levels" not in meta:
-            raise ArgumentError("g-function has no serializable representation")
-        payload = {
-            "n_children": self.n_children,
-            "label": self.label,
-            "metadata": meta,
-            "report": None if self.report is None else json.loads(self.report.to_json()),
-        }
-        return json.dumps(payload)
+        """Serialise the coefficients, label, metadata and report; the
+        multivariate form is rebuilt only from ``metadata["kernel_levels"]``."""
+        return json.dumps(
+            {
+                "n_children": self.n_children,
+                "label": self.label,
+                "coeffs": self.coeffs.tolist(),
+                "metadata": self.metadata,
+                "report": None if self.report is None else json.loads(self.report.to_json()),
+            }
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "GFunction":
         payload = json.loads(text)
+        if "coeffs" not in payload:
+            raise ArgumentError("g-function payload has no power-basis coefficients")
         meta = payload["metadata"]
+        levels = meta.get("kernel_levels")
         report = payload.get("report")
-        report = GAxiomReport(**report) if report else None
-        if "poly_coeffs" in meta:
-            coeffs = np.array(meta["poly_coeffs"])
-
-            def uni(p, c=coeffs):
-                return P.polyval(p, c)
-
-            return cls(payload["n_children"], uni, None, coeffs, label=payload["label"], report=report, metadata=meta)
-        if "kernel_levels" in meta:
-            kern = ExchangeableKernel(meta["kernel_levels"], label=payload["label"])
-            return kernel_g(kern, label=payload["label"], report=report)
-        raise ArgumentError("unknown g-function serialization")
+        return cls(
+            payload["n_children"],
+            payload["coeffs"],
+            None if levels is None else ExchangeableKernel(levels, label=payload["label"]).combine_params,
+            label=payload["label"],
+            report=GAxiomReport(**report) if report else None,
+            metadata=meta,
+        )
 
 
-def kernel_g(kernel: ExchangeableKernel, label: str = "", report: Optional[GAxiomReport] = None) -> GFunction:
+def kernel_g(kernel: ExchangeableKernel, label: str = "") -> GFunction:
     """GFunction induced by an exchangeable voting kernel.
 
-    The univariate map is the diagonal of the exact multivariate
-    enumeration, so tree recursions and iterate_g agree bit for bit. The
-    coefficients expand the Bernstein sum
-    sum_k levels[k] C(n,k) p^k (1-p)^(n-k) in the power basis.
+    g is the Bernstein sum sum_k levels[k] C(n,k) p^k (1-p)^(n-k),
+    expanded in the power basis; the multivariate form is the kernel's
+    exact enumeration, whose diagonal equals g up to rounding.
     """
     n = kernel.n_children
-
-    def univariate(p):
-        arr = np.asarray(p, dtype=float)
-        flat = arr.reshape(-1)
-        params = np.repeat(flat[:, None], n, axis=1)
-        vals = kernel.combine_params(params)
-        return vals.reshape(arr.shape) if arr.shape else float(vals[0])
-
     coeffs = np.zeros(n + 1)
     for k, level in enumerate(kernel.levels):
         # C(n,k) p^k (1-p)^(n-k) = sum_j C(n,k) C(n-k,j) (-1)^j p^(k+j)
@@ -220,11 +195,9 @@ def kernel_g(kernel: ExchangeableKernel, label: str = "", report: Optional[GAxio
             coeffs[k + j] += level * (comb(n, k) * comb(n - k, j) * (-1) ** j)
     return GFunction(
         n,
-        univariate,
-        kernel.combine_params,
         coeffs,
+        kernel.combine_params,
         label=label or kernel.label,
-        report=report,
         metadata={"kernel_levels": list(map(float, kernel.levels))},
     )
 
@@ -404,7 +377,7 @@ def _check_monotone_multivariate(g: GFunction, notes: list[str], n_samples: int 
     p = draws[:, 0]
     q = np.minimum(p + draws[:, 1] * (1 - p), 1.0)
     try:
-        vals = g._multi_rows(np.concatenate([p, q]))
+        vals = g.combine_params(np.concatenate([p, q]))
     except ArgumentError:
         notes.append("multivariate evaluation unavailable; monotonicity unchecked")
         return False

@@ -16,7 +16,6 @@ import numpy as np
 from ..errors import ArgumentError
 
 __all__ = [
-    "VotingKernel",
     "ExchangeableKernel",
     "majority_kernel",
     "eval_multivariate_g",
@@ -25,23 +24,35 @@ __all__ = [
 MAX_EXACT_CHILDREN = 16
 
 
-class VotingKernel:
-    """Base voting kernel.
+class ExchangeableKernel:
+    """Kernel that depends on the votes only through their sum.
 
-    Subclasses implement :meth:`theta`. ``is_deterministic`` declares that
-    the range of theta is contained in {0, 1}, in which case sampling a
-    vote reduces to evaluating theta.
+    ``levels[k]`` is the parent parameter when exactly k children vote 1.
+    Covers majority voting (levels 0,0,1,1), the nonlinear-voter rates
+    (a_0..a_5) and the sexual-reproduction kernel. ``is_deterministic``
+    declares that every level is 0 or 1, in which case sampling a vote
+    reduces to evaluating theta.
     """
 
-    n_children: int
-    is_deterministic: bool
+    def __init__(self, levels: Sequence[float], label: str = ""):
+        levels = [float(v) for v in levels]
+        if any(not 0.0 <= v <= 1.0 for v in levels):
+            raise ArgumentError(f"kernel levels outside [0,1]: {levels}")
+        if any(b < a for a, b in zip(levels, levels[1:])):
+            raise ArgumentError(f"kernel levels must be nondecreasing: {levels}")
+        self.levels = np.array(levels)
+        self.n_children = len(levels) - 1
+        self.is_deterministic = all(v in (0.0, 1.0) for v in levels)
+        self.label = label
 
     def theta(self, votes: Sequence[int]) -> float:
-        raise NotImplementedError
+        if len(votes) != self.n_children:
+            raise ArgumentError(f"expected {self.n_children} votes, got {len(votes)}")
+        return float(self.levels[int(np.sum(votes))])
 
     def theta_batch(self, votes: np.ndarray) -> np.ndarray:
         """theta applied row-wise to an (m, n_children) vote matrix."""
-        return np.array([self.theta(row) for row in votes], dtype=float)
+        return self.levels[votes.sum(axis=1)]
 
     def combine_params(self, child_params: np.ndarray) -> np.ndarray:
         """Vectorized parent parameters from (m, n_children) child parameters.
@@ -82,34 +93,6 @@ class VotingKernel:
                 table.append((theta, votes))
         return table
 
-
-class ExchangeableKernel(VotingKernel):
-    """Kernel that depends on the votes only through their sum.
-
-    ``levels[k]`` is the parent parameter when exactly k children vote 1.
-    Covers majority voting (levels 0,0,1,1), the nonlinear-voter rates
-    (a_0..a_5) and the sexual-reproduction kernel.
-    """
-
-    def __init__(self, levels: Sequence[float], label: str = ""):
-        levels = [float(v) for v in levels]
-        if any(not 0.0 <= v <= 1.0 for v in levels):
-            raise ArgumentError(f"kernel levels outside [0,1]: {levels}")
-        if any(b < a for a, b in zip(levels, levels[1:])):
-            raise ArgumentError(f"kernel levels must be nondecreasing: {levels}")
-        self.levels = np.array(levels)
-        self.n_children = len(levels) - 1
-        self.is_deterministic = all(v in (0.0, 1.0) for v in levels)
-        self.label = label
-
-    def theta(self, votes: Sequence[int]) -> float:
-        if len(votes) != self.n_children:
-            raise ArgumentError(f"expected {self.n_children} votes, got {len(votes)}")
-        return float(self.levels[int(np.sum(votes))])
-
-    def theta_batch(self, votes: np.ndarray) -> np.ndarray:
-        return self.levels[votes.sum(axis=1)]
-
     def __repr__(self):
         name = self.label or "exchangeable"
         return f"ExchangeableKernel({name}, levels={self.levels.tolist()})"
@@ -123,7 +106,7 @@ def majority_kernel(n_children: int = 3) -> ExchangeableKernel:
     return ExchangeableKernel(levels, label=f"majority{n_children}")
 
 
-def eval_multivariate_g(kernel: VotingKernel, probs: Sequence[float]) -> float:
+def eval_multivariate_g(kernel: ExchangeableKernel, probs: Sequence[float]) -> float:
     """Expected theta over independent Bernoulli(probs) votes.
 
     One row of ``kernel.combine_params``, the exact enumeration over all

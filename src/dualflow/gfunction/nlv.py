@@ -37,7 +37,7 @@ __all__ = [
     "nlv_rate_flags",
     "nlv_kernel",
     "nlv_polynomial_g",
-    "g_pi",
+    "g_pi_batch",
     "g_pi_univariate_coeffs",
 ]
 
@@ -171,71 +171,27 @@ def nlv_kernel(a1: float, a2: float, a3: float, a4: float) -> ExchangeableKernel
 def nlv_polynomial_g(a1: float, a2: float, a3: float, a4: float) -> GFunction:
     """GFunction for the nonlinear voter rates.
 
-    The univariate map is the closed-form quintic; the multivariate map
-    is the exact enumeration of the five-child kernel. The two agree
-    whenever the balance relations a1 = 1-a4, a2 = 1-a3 hold. Violated
-    phase conditions are flagged (metadata["flags"]), never fatal.
+    g is the closed-form quintic of the module docstring, expanded in
+    powers of p; the multivariate map is the exact enumeration of the
+    five-child kernel. The two agree on the diagonal whenever the
+    balance relations a1 = 1-a4, a2 = 1-a3 hold. Violated phase
+    conditions are flagged (metadata["flags"]), never fatal.
     """
     kern = nlv_kernel(a1, a2, a3, a4)
     A = 4 * a1 - a4
     B = 6 * a2 - 4 * a3
-
-    def univariate(p):
-        p = np.asarray(p, dtype=float)
-        q = 1.0 - p
-        return A * p * q**4 + B * p**2 * q**3 - B * p**3 * q**2 - A * p**4 * q + p
-
-    # the quintic above, expanded in powers of p
     coeffs = [0.0, 1.0 + A, B - 4 * A, 6 * A - 4 * B, 5 * (B - A), 2 * (A - B)]
-    flags = nlv_rate_flags(a1, a2, a3, a4)
     return GFunction(
         5,
-        univariate,
-        kern.combine_params,
         coeffs,
+        kern.combine_params,
         label="nlv",
         metadata={
             "rates": {"a1": a1, "a2": a2, "a3": a3, "a4": a4},
-            "flags": flags,
+            "flags": nlv_rate_flags(a1, a2, a3, a4),
             "kernel_levels": list(map(float, kern.levels)),
         },
     )
-
-
-def g_pi(
-    partition: MarkedPartition,
-    probs: Sequence[float],
-    a1: float,
-    a2: float,
-    a3: float,
-    a4: float,
-) -> float:
-    """E[Theta_pi(V_1..V_5)] with independent Bernoulli(probs) votes.
-
-    Exact enumeration over the marked representatives' votes: members of
-    a block contribute through their representative only, so 2**n_blocks
-    terms suffice. For the singleton partition this reduces, term by
-    term, to eval_multivariate_g of the raw kernel.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (partition.n,):
-        raise ArgumentError(f"expected {partition.n} probabilities")
-    if np.any(probs < 0) or np.any(probs > 1):
-        raise ArgumentError("probabilities must lie in [0,1]")
-    levels = np.array([0.0, a1, a2, a3, a4, 1.0])
-    blocks, marks = partition.blocks, partition.marks
-    m = len(blocks)
-    total = 0.0
-    for pattern in range(2**m):
-        weight = 1.0
-        k = 0
-        for j in range(m):
-            w = (pattern >> j) & 1
-            pm = probs[marks[j] - 1]
-            weight *= pm if w else 1.0 - pm
-            k += len(blocks[j]) * w
-        total += levels[k] * weight
-    return total
 
 
 def g_pi_batch(
@@ -246,8 +202,19 @@ def g_pi_batch(
     a3: float,
     a4: float,
 ) -> np.ndarray:
-    """g^pi applied row-wise to an (m, 5) matrix of probabilities."""
+    """E[Theta_pi(V_1..V_5)] row-wise, for an (m, 5) matrix of
+    independent Bernoulli vote probabilities.
+
+    Exact enumeration over the marked representatives' votes: members of
+    a block contribute through their representative only, so 2**n_blocks
+    terms suffice. For the singleton partition this reduces, term by
+    term, to the raw kernel's ``combine_params``.
+    """
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2 or probs.shape[1] != partition.n:
+        raise ArgumentError(f"expected rows of {partition.n} probabilities, got shape {probs.shape}")
+    if np.any(probs < 0) or np.any(probs > 1):
+        raise ArgumentError("probabilities must lie in [0,1]")
     levels = np.array([0.0, a1, a2, a3, a4, 1.0])
     blocks, marks = partition.blocks, partition.marks
     nb = len(blocks)

@@ -26,7 +26,7 @@ from .gfunction.coalescence import (
 # find_fixed_points is no longer called here but stays importable as
 # dualflow.models.find_fixed_points, where the perfbench tracer wraps it
 from .gfunction.gfun import GFunction, find_fixed_points, kernel_g, verify_g_axioms  # noqa: F401
-from .gfunction.kernels import ExchangeableKernel, VotingKernel, majority_kernel
+from .gfunction.kernels import ExchangeableKernel, majority_kernel
 from .gfunction.nlv import MarkedPartition, g_pi_batch, nlv_rate_flags
 from .rng import derive_rng
 
@@ -56,7 +56,7 @@ class ModelBundle:
     """
 
     spec: BranchingSpec
-    kernel: Optional[VotingKernel]
+    kernel: Optional[ExchangeableKernel]
     g: GFunction
     equilibria: tuple[float, float, float]  # (a, mu, b)
     scaling_notes: str = ""

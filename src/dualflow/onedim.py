@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ArgumentError
 from .dualtree.estimate import VoteEstimate, estimate_vote_probability
 from .dualtree.tree import BranchingSpec
-from .gfunction.kernels import VotingKernel
+from .gfunction.kernels import ExchangeableKernel
 from .models import brownian_motion
 
 __all__ = [
@@ -68,7 +68,7 @@ def bbm1d_spec(epsilon: float, n_children: int = 3, gamma: float = 1.0) -> Branc
     )
 
 
-def _require_kernel(kernel: Optional[VotingKernel]) -> None:
+def _require_kernel(kernel: Optional[ExchangeableKernel]) -> None:
     if kernel is None:
         raise ArgumentError(
             "this model votes through sibling coalescence and has no 1-D voting kernel"
@@ -79,7 +79,7 @@ def bbm1d_vote_prob(
     z: float,
     t: float,
     epsilon: float,
-    kernel: VotingKernel,
+    kernel: ExchangeableKernel,
     n_samples: int,
     rng_seed: int,
     a: float = 0.0,
@@ -137,7 +137,7 @@ def default_z_grid(epsilon: float, n_points: int = 25, span: float = 5.0) -> np.
 def interface_profile(
     t: float,
     epsilon: float,
-    kernel: VotingKernel,
+    kernel: ExchangeableKernel,
     z_grid: Optional[Sequence[float]] = None,
     n_samples: int = 2000,
     rng_seed: int = 0,

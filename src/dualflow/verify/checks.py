@@ -18,7 +18,6 @@ import numpy as np
 from ..errors import ArgumentError
 from ..dualtree.estimate import VoteEstimate, estimate_vote_probability
 from ..dualtree.tree import BranchingSpec
-from ..gfunction.gfun import kernel_g
 from ..models import ModelBundle
 from ..onedim import _require_kernel
 # no check calls bbm1d_vote_prob; perfbench/spans.py patches it here to time 1-D Monte Carlo
@@ -579,7 +578,7 @@ def check_propagation_vs_1d(
         z = np.array(dists) + K2 * scale
         reach = 6.0 * math.sqrt(max(time_grid))
         step_data = _step_data_field(b_eps.a, b_eps.b, z.min() - reach, z.max() + reach, epsilon / 40.0)
-        coarse, one_d = _reaction_diffusion_at(epsilon, kernel_g(b_eps.kernel), 1.0, step_data, times, z[:, None])
+        coarse, one_d = _reaction_diffusion_at(epsilon, b_eps.g, 1.0, step_data, times, z[:, None])
         pde_budget = np.abs(coarse - one_d)
         worst = max(est.value - u - 4.0 * est.stderr - gap for est, u, gap in zip(multi, one_d, pde_budget))
         allowance = C_allow * epsilon**k_power

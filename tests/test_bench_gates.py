@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
-    "ternary_interface": "948f2fbd80d8c09f",
+    "ternary_interface": "5ddbcc5a537bdbca",
     "nlv_coalescence": "7f9f436296703e8a",
     "curvature_pde": "d9f3b7a3adbdda35",
 }

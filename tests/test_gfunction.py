@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -12,13 +13,16 @@ from dualflow.gfunction import (
     ExchangeableKernel,
     GAxiomReport,
     GFunction,
+    MarkedPartition,
     eval_multivariate_g,
     find_fixed_points,
+    g_pi_batch,
     gbar,
     iterate_g,
     kernel_g,
     majority_kernel,
     nlv_kernel,
+    nlv_polynomial_g,
     verify_g_axioms,
 )
 from dualflow.models import SR_THETA_LEVELS
@@ -101,16 +105,15 @@ class TestFixedPoints:
     def test_sexual_reproduction_cubic(self):
         g = GFunction(
             3,
-            lambda p: 9.0 / 11.0 * (p + p**2 - p**3),
-            lambda rows: 9.0 / 11.0 * (rows.mean(axis=1) + rows.mean(axis=1) ** 2 - rows.mean(axis=1) ** 3),
             [0.0, 9.0 / 11.0, 9.0 / 11.0, -9.0 / 11.0],
+            lambda rows: 9.0 / 11.0 * (rows.mean(axis=1) + rows.mean(axis=1) ** 2 - rows.mean(axis=1) ** 3),
             label="sr",
         )
         fps = find_fixed_points(g, tol=1e-13)
         assert np.allclose(fps, [0.0, 1.0 / 3.0, 2.0 / 3.0], atol=1e-10)
 
     def test_identity_reports_degeneracy(self):
-        g = GFunction(1, lambda p: np.asarray(p, dtype=float), lambda rows: rows[:, 0], [0.0, 1.0])
+        g = GFunction(1, [0.0, 1.0], lambda rows: rows[:, 0])
         fps = find_fixed_points(g, tol=1e-12)
         assert fps.degenerate, "identity map must be flagged degenerate"
         lo, hi = fps.degenerate[0]
@@ -132,11 +135,10 @@ class TestAxiomReport:
     def test_sexual_reproduction_interior_b(self):
         g = GFunction(
             3,
-            lambda p: 9.0 / 11.0 * (np.asarray(p) + np.asarray(p) ** 2 - np.asarray(p) ** 3),
+            [0.0, 9.0 / 11.0, 9.0 / 11.0, -9.0 / 11.0],
             lambda rows: np.where(
                 np.all(rows == rows[:, :1], axis=1), 9.0 / 11.0 * (rows[:, 0] + rows[:, 0] ** 2 - rows[:, 0] ** 3), 0.0
             ),
-            [0.0, 9.0 / 11.0, 9.0 / 11.0, -9.0 / 11.0],
             label="sr",
         )
         rep = verify_g_axioms(g)
@@ -145,17 +147,12 @@ class TestAxiomReport:
         assert rep.passes["g1"] and rep.passes["g2"]
 
     def test_square_fails_fixed_point_axiom(self):
-        g = GFunction(2, lambda p: np.asarray(p) ** 2, lambda rows: rows[:, 0] * rows[:, 1], [0.0, 0.0, 1.0])
+        g = GFunction(2, [0.0, 0.0, 1.0], lambda rows: rows[:, 0] * rows[:, 1])
         rep = verify_g_axioms(g)
         assert not rep.passes["g1"]
 
     def test_non_monotone_flagged_not_raised(self):
-        kern_like = GFunction(
-            2,
-            lambda p: 4 * np.asarray(p) * (1 - np.asarray(p)),
-            lambda rows: 4 * rows[:, 0] * (1 - rows[:, 1]),
-            [0.0, 4.0, -4.0],
-        )
+        kern_like = GFunction(2, [0.0, 4.0, -4.0], lambda rows: 4 * rows[:, 0] * (1 - rows[:, 1]))
         rep = verify_g_axioms(kern_like)
         assert not rep.passes["g0"]
 
@@ -167,10 +164,6 @@ class TestAxiomReport:
 
 
 class TestKernelG:
-    def test_univariate_is_multivariate_diagonal(self, majority_g):
-        for p in np.linspace(0, 1, 11):
-            assert float(majority_g(p)) == majority_g.multi([p, p, p])
-
     def test_deterministic_detection(self):
         assert majority_kernel(3).is_deterministic
         assert not ExchangeableKernel([0.0, 0.3, 0.7, 1.0]).is_deterministic
@@ -194,27 +187,68 @@ class TestRestoredPolynomial:
         ps = np.linspace(0.0, 1.0, 101)
         assert np.array_equal(back.coeffs, g.coeffs)
         assert np.max(np.abs(back(ps) - g(ps))) <= 1e-14
-        for call in (
-            lambda: back.multi([0.1, 0.9, 0.2, 0.8, 0.5]),
-            lambda: back.combine_params(np.full((2, 5), 0.3)),
-        ):
+        for rows in (np.array([[0.1, 0.9, 0.2, 0.8, 0.5]]), np.full((2, 5), 0.3)):
             with pytest.raises(ArgumentError, match="multivariate form was not serialised"):
-                call()
+                back.combine_params(rows)
         assert GFunction.from_json(back.to_json()).coeffs.tolist() == g.coeffs.tolist()
 
 
-class TestPolynomialForm:
-    @pytest.mark.parametrize("name", ["majority3", "pair_model", "nlv_kernel", "nlv_quintic", "gbar"])
-    def test_coefficients_match_evaluation(self, name, majority_g, nlv_g):
-        g = {
-            "majority3": lambda: majority_g,
-            "pair_model": lambda: kernel_g(ExchangeableKernel(SR_THETA_LEVELS)),
-            "nlv_kernel": lambda: kernel_g(nlv_kernel(**NLV_RATES)),
-            "nlv_quintic": lambda: nlv_g,
-            "gbar": lambda: gbar(2, 3, math.inf, n_samples=200, rng_seed=11, **NLV_RATES),
-        }[name]()
+def _round_trip_gs():
+    return {
+        "majority3": lambda: kernel_g(majority_kernel(3)),
+        "pair_model": lambda: kernel_g(ExchangeableKernel(SR_THETA_LEVELS)),
+        "nlv_kernel": lambda: kernel_g(nlv_kernel(**NLV_RATES)),
+        "nlv_reference": lambda: nlv_polynomial_g(**NLV_RATES),
+        "nlv_unbalanced": lambda: nlv_polynomial_g(0.1, 0.3, 0.6, 0.85),
+        "gbar": lambda: gbar(2, 3, math.inf, n_samples=200, rng_seed=11, **NLV_RATES),
+    }
+
+
+class TestJsonRoundTrip:
+    @pytest.mark.parametrize("name", sorted(_round_trip_gs()))
+    def test_round_trip_is_exact(self, name):
+        g = _round_trip_gs()[name]()
+        back = GFunction.from_json(g.to_json())
         ps = np.linspace(0.0, 1.0, 1001)
-        assert np.max(np.abs(P.polyval(ps, g.coeffs) - g(ps))) <= 1e-14
+        assert np.array_equal(back.coeffs, g.coeffs)
+        assert back(ps).tobytes() == g(ps).tobytes()
+        assert list(find_fixed_points(back)) == list(find_fixed_points(g))
+        assert back.metadata == g.metadata
+        assert (back.n_children, back.label) == (g.n_children, g.label)
+        if "kernel_levels" in g.metadata:
+            rows = np.random.default_rng(5).random((64, g.n_children))
+            rows[0] = 0.3  # a constant row goes through the polynomial
+            assert back.combine_params(rows).tobytes() == g.combine_params(rows).tobytes()
+
+    def test_payload_without_coefficients_rejected(self, majority_g):
+        payload = json.loads(majority_g.to_json())
+        del payload["coeffs"]
+        with pytest.raises(ArgumentError, match="coefficients"):
+            GFunction.from_json(json.dumps(payload))
+
+
+class TestPolynomialForm:
+    @pytest.mark.parametrize("name", ["majority3", "majority5", "pair_model", "nlv_kernel", "nlv_quintic", "gbar"])
+    def test_coefficients_match_evaluation(self, name, majority_g, nlv_g):
+        # g(p) is the polynomial; its reference is the multivariate form on the diagonal
+        ps = np.linspace(0.0, 1.0, 1001)
+        if name == "gbar":
+            g = gbar(2, 3, math.inf, n_samples=200, rng_seed=11, **NLV_RATES)
+            diag = np.repeat(ps[:, None], 5, axis=1)
+            reference = sum(
+                w * g_pi_batch(MarkedPartition.parse(part), diag, **NLV_RATES) for part, w in g.metadata["weights"].items()
+            )
+        else:
+            g, kern = {
+                "majority3": lambda: (majority_g, majority_kernel(3)),
+                "majority5": lambda: (kernel_g(majority_kernel(5)), majority_kernel(5)),
+                "pair_model": lambda: (kernel_g(ExchangeableKernel(SR_THETA_LEVELS)), ExchangeableKernel(SR_THETA_LEVELS)),
+                "nlv_kernel": lambda: (kernel_g(nlv_kernel(**NLV_RATES)), nlv_kernel(**NLV_RATES)),
+                "nlv_quintic": lambda: (nlv_g, nlv_kernel(**NLV_RATES)),
+            }[name]()
+            reference = _reference_combine(kern, np.repeat(ps[:, None], kern.n_children, axis=1))
+        assert g(ps).tobytes() == P.polyval(ps, g.coeffs).tobytes()
+        assert np.max(np.abs(g(ps) - reference)) <= 1e-14
 
     def test_majority_fixed_points_exact(self, majority_g):
         assert list(find_fixed_points(majority_g)) == [0.0, 0.5, 1.0]
@@ -226,7 +260,7 @@ class TestPolynomialForm:
     @pytest.mark.parametrize("coeffs", [None, [], [0.0, np.nan]])
     def test_coefficients_required(self, coeffs):
         with pytest.raises(ArgumentError):
-            GFunction(1, lambda p: p, lambda rows: rows[:, 0], coeffs)
+            GFunction(1, coeffs, lambda rows: rows[:, 0])
 
     def test_finite_difference_report_still_loads(self):
         # recorded by the earlier finite-difference scan (step 1e-5)
@@ -275,14 +309,6 @@ class TestCombineParamsBitIdentical:
         got = kern.combine_params(child)
         assert got.shape == (m,)
         assert got.tobytes() == _reference_combine(kern, child).tobytes()
-
-    @pytest.mark.parametrize("name", sorted(_combine_kernels()))
-    def test_kernel_g_is_the_diagonal(self, name):
-        kern = _combine_kernels()[name]
-        g = kernel_g(kern)
-        ps = np.linspace(0.0, 1.0, 257)
-        diag = np.repeat(ps[:, None], kern.n_children, axis=1)
-        assert g(ps).tobytes() == _reference_combine(kern, diag).tobytes()
 
     @pytest.mark.parametrize("name", sorted(_combine_kernels()))
     def test_nan_entry_propagates(self, name):

@@ -7,12 +7,12 @@ from dualflow.gfunction import (
     all_marked_partitions,
     eval_multivariate_g,
     find_fixed_points,
-    g_pi,
+    g_pi_batch,
     nlv_kernel,
     nlv_rate_flags,
     singleton_partition,
 )
-from dualflow.gfunction.nlv import g_pi_batch, g_pi_univariate_coeffs
+from dualflow.gfunction.nlv import g_pi_univariate_coeffs
 
 from conftest import NLV_RATES
 
@@ -67,6 +67,26 @@ class TestMarkedPartitions:
             MarkedPartition(((1, 2), (3, 4, 5)), (3, 4))  # mark outside block
 
 
+def g_pi(partition, probs, **rates):
+    """g^pi at one probability vector, through a one-row batch."""
+    return float(g_pi_batch(partition, np.asarray(probs, dtype=float)[None, :], **rates)[0])
+
+
+def _reference_g_pi(partition, probs, a1, a2, a3, a4):
+    """The plain definition at one probability vector: a scalar loop over
+    the representatives' vote patterns."""
+    levels = [0.0, a1, a2, a3, a4, 1.0]
+    total = 0.0
+    for pattern in range(2**partition.n_blocks):
+        weight, k = 1.0, 0
+        for j, (block, mark) in enumerate(zip(partition.blocks, partition.marks)):
+            w = (pattern >> j) & 1
+            weight *= probs[mark - 1] if w else 1.0 - probs[mark - 1]
+            k += len(block) * w
+        total += levels[k] * weight
+    return total
+
+
 class TestGPi:
     def test_singleton_equals_raw_kernel_bitwise(self):
         # both are exact enumerations in the same order: tolerance zero
@@ -99,12 +119,12 @@ class TestGPi:
         assert g_pi(part, probs, **NLV_RATES) == pytest.approx(expected, abs=1e-15)
 
     def test_univariate_coeffs_match_pointwise(self):
+        ps = np.array([0.0, 0.21, 0.5, 0.83, 1.0])
         for part in all_marked_partitions(5)[::23]:
             coeffs = g_pi_univariate_coeffs(part, **NLV_RATES)
-            for p in (0.0, 0.21, 0.5, 0.83, 1.0):
-                poly_val = float(np.polynomial.polynomial.polyval(p, coeffs))
-                direct = g_pi(part, np.full(5, p), **NLV_RATES)
-                assert poly_val == pytest.approx(direct, abs=1e-13)
+            poly_vals = np.polynomial.polynomial.polyval(ps, coeffs)
+            direct = g_pi_batch(part, np.repeat(ps[:, None], 5, axis=1), **NLV_RATES)
+            assert np.max(np.abs(poly_vals - direct)) <= 1e-13
 
     def test_batch_matches_scalar(self):
         part = MarkedPartition(((1, 3), (2,), (4, 5)), (3, 2, 5))
@@ -112,8 +132,10 @@ class TestGPi:
         probs = rng.uniform(0, 1, (8, 5))
         batch = g_pi_batch(part, probs, **NLV_RATES)
         for row, val in zip(probs, batch):
-            assert val == pytest.approx(g_pi(part, row, **NLV_RATES), abs=1e-14)
+            assert val == pytest.approx(_reference_g_pi(part, row, **NLV_RATES), abs=1e-14)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ArgumentError):
-            g_pi(singleton_partition(), np.full(4, 0.5), **NLV_RATES)
+        # a short row, short rows, a bare vector, and rows outside [0,1]
+        for probs in (np.full(4, 0.5), np.full((2, 4), 0.5), np.full(5, 0.5), np.full((2, 5), 1.5)):
+            with pytest.raises(ArgumentError):
+                g_pi_batch(singleton_partition(), probs, **NLV_RATES)

@@ -555,8 +555,8 @@ class TestSupersolution:
 
 
 PINNED_REACTION = {
-    "1d": "7def4da7be0484afd77b1104974a90f58908cdf0475ee1f5392b440effddbcdb",
-    "2d": "e19c33065612280390afa4e3ed5d075d2af197bb0cb4be3da66f54f96a007ee8",
+    "1d": "fe521c6b1b0d3e2f2a278e68bdd8dadb82b9f466c363a97a6858a1c4d69908af",
+    "2d": "aeee81fac98e1992f6f50006a5ab7d4d8f1bd7139b0dae0daa4783c893053d08",
 }
 
 
