@@ -1,37 +1,28 @@
-"""Branching dual processes as time-labelled trees, plus voting on them."""
+"""Branching dual processes as time-labelled genealogies in one wave
+layout, plus voting on them."""
 
 from .tree import (
-    UlamIndex,
-    ROOT,
-    Vertex,
+    Wave,
     TimeLabelledTree,
     BranchingSpec,
     expected_population,
     simulate_tree,
     root_vote_prob_exact,
-    sample_vote,
     sample_votes_batch,
     sample_root_votes,
-    tree_shape_stats,
-    TreeShapeStats,
 )
 from .forest import forest_root_params, ForestResult
 from .estimate import VoteEstimate, estimate_vote_probability
 
 __all__ = [
-    "UlamIndex",
-    "ROOT",
-    "Vertex",
+    "Wave",
     "TimeLabelledTree",
     "BranchingSpec",
     "expected_population",
     "simulate_tree",
     "root_vote_prob_exact",
-    "sample_vote",
     "sample_votes_batch",
     "sample_root_votes",
-    "tree_shape_stats",
-    "TreeShapeStats",
     "forest_root_params",
     "ForestResult",
     "VoteEstimate",

@@ -1,17 +1,26 @@
-"""Time-labelled genealogies and voting algorithms on them.
+"""Time-labelled genealogies in the wave layout, and voting on them.
 
-A tree records full families: every internal vertex has exactly
-n_children children, leaves die at the horizon. Positions are stored at
-death times only (leaf positions are what the voting algorithm reads;
-internal positions seed the offspring dispersal), never full paths.
+A genealogy is stored, grown and voted on one way: as flat per-wave
+arrays. Wave 0 holds the roots; the children of the i-th internal vertex
+of wave w (the i-th False of ``is_leaf``) fill slots [i*n0, (i+1)*n0) of
+wave w+1, in child order. Every internal vertex has exactly n0 children
+and leaves die at the horizon. :func:`grow_waves` is the one forward
+loop and :func:`vote_back` the one backward pass; the forest
+(``forest.py``) and the single-genealogy functions here both use them.
+
+A single genealogy (:class:`TimeLabelledTree`) also keeps, per wave,
+birth and death times and positions at death (leaf positions are what
+the voting algorithm reads; internal positions seed the offspring
+dispersal), never full paths. Ulam-Harris labels exist only in its JSON
+form.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -21,149 +30,19 @@ from ..gfunction.kernels import ExchangeableKernel
 from ..rng import derive_rng
 
 __all__ = [
-    "UlamIndex",
-    "ROOT",
-    "Vertex",
+    "Wave",
     "TimeLabelledTree",
     "BranchingSpec",
     "expected_population",
+    "grow_waves",
+    "vote_back",
     "simulate_tree",
     "root_vote_prob_exact",
-    "sample_vote",
     "sample_votes_batch",
     "sample_root_votes",
-    "tree_shape_stats",
-    "TreeShapeStats",
 ]
 
 DEFAULT_VERTEX_BUDGET = 10_000_000
-
-
-@dataclass(frozen=True, order=True)
-class UlamIndex:
-    """Genealogical label: the sequence of child indices from the root."""
-
-    path: tuple[int, ...] = ()
-
-    def parent(self) -> "UlamIndex":
-        if not self.path:
-            raise ArgumentError("the root has no parent")
-        return UlamIndex(self.path[:-1])
-
-    def child(self, i: int) -> "UlamIndex":
-        return UlamIndex(self.path + (i,))
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
-    def __str__(self):
-        return "." .join(map(str, self.path)) if self.path else "root"
-
-
-ROOT = UlamIndex(())
-
-
-@dataclass
-class Vertex:
-    birth_time: float
-    death_time: float
-    position_at_death: np.ndarray
-    decoration: Optional[np.ndarray] = None  # the event's decoration_fn row
-
-
-@dataclass
-class TimeLabelledTree:
-    n_children: int
-    dim: int
-    horizon: float
-    root_start: np.ndarray
-    vertices: dict[UlamIndex, Vertex] = field(default_factory=dict)
-
-    def leaves(self) -> list[UlamIndex]:
-        return [u for u in self.vertices if u.child(1) not in self.vertices]
-
-    def internal(self) -> list[UlamIndex]:
-        return [u for u in self.vertices if u.child(1) in self.vertices]
-
-    def children_of(self, u: UlamIndex) -> list[UlamIndex]:
-        return [u.child(i) for i in range(1, self.n_children + 1)]
-
-    def is_leaf(self, u: UlamIndex) -> bool:
-        return u.child(1) not in self.vertices
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises ArgumentError."""
-        if ROOT not in self.vertices:
-            raise ArgumentError("missing root")
-        for u, v in self.vertices.items():
-            present = [u.child(i) in self.vertices for i in range(1, self.n_children + 1)]
-            if any(present) and not all(present):
-                raise ArgumentError(f"partial family at {u}")
-            if u != ROOT and u.parent() not in self.vertices:
-                raise ArgumentError(f"orphan vertex {u}")
-            if all(present):
-                if not v.death_time > v.birth_time:
-                    raise ArgumentError(f"non-positive lifetime at internal {u}")
-                for i in range(1, self.n_children + 1):
-                    if self.vertices[u.child(i)].birth_time != v.death_time:
-                        raise ArgumentError(f"birth/death mismatch under {u}")
-            else:
-                if v.death_time != self.horizon:
-                    raise ArgumentError(f"leaf {u} does not die at the horizon")
-
-    # ----- JSON round trip (documented vertex-list schema) -----
-
-    def to_json(self) -> str:
-        """Schema: {version, n_children, dim, horizon, root_start,
-        vertices: [{path, birth, death, position, decoration?}]}.
-        Vertices carry parent links implicitly through their paths."""
-
-        def enc(v: Vertex, u: UlamIndex):
-            rec = {
-                "path": list(u.path),
-                "birth": v.birth_time,
-                "death": v.death_time,
-                "position": [float(x) for x in np.atleast_1d(v.position_at_death)],
-            }
-            if v.decoration is not None:
-                rec["decoration"] = {"__array__": v.decoration.tolist()}
-            return rec
-
-        return json.dumps(
-            {
-                "version": 1,
-                "n_children": self.n_children,
-                "dim": self.dim,
-                "horizon": self.horizon,
-                "root_start": [float(x) for x in np.atleast_1d(self.root_start)],
-                "vertices": [enc(v, u) for u, v in sorted(self.vertices.items())],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TimeLabelledTree":
-        data = json.loads(text)
-        if data.get("version") != 1:
-            raise ArgumentError("unsupported tree schema version")
-        tree = cls(
-            n_children=data["n_children"],
-            dim=data["dim"],
-            horizon=data["horizon"],
-            root_start=np.array(data["root_start"], dtype=float),
-        )
-        for rec in data["vertices"]:
-            dec = rec.get("decoration")
-            tree.vertices[UlamIndex(tuple(rec["path"]))] = Vertex(
-                birth_time=rec["birth"],
-                death_time=rec["death"],
-                position_at_death=np.array(rec["position"], dtype=float),
-                decoration=None if dec is None else np.array(dec["__array__"]),
-            )
-        return tree
 
 
 @dataclass
@@ -176,7 +55,7 @@ class BranchingSpec:
     positions. Both must be vectorized over the leading axis.
     ``decoration_fn(parents, offspring, rng)``, when set, returns an array
     with one row per branching event (leading axis n); the rows reach
-    only the model's forest combiner and the tree's vertex records.
+    only the model's forest combiner and a genealogy's wave arrays.
     """
 
     dim: int
@@ -202,6 +81,248 @@ def expected_population(spec: BranchingSpec, t: float) -> float:
     return math.exp(min(exponent, 700.0))
 
 
+@dataclass
+class Wave:
+    """One generation of the wave layout.
+
+    ``leaves`` has one row per leaf, in row order: whatever the forward
+    loop's ``value_leaves`` made of the leaf positions (a forest keeps
+    leaf_prob values, a genealogy the positions), or None when the wave
+    has no leaf. ``decorations`` has one row per internal vertex. Only a
+    genealogy keeps ``birth`` and ``death`` (one per vertex) and
+    ``at_death``, the internal vertices' positions at death.
+    """
+
+    is_leaf: np.ndarray
+    leaves: Optional[np.ndarray] = None
+    decorations: Optional[np.ndarray] = None
+    birth: Optional[np.ndarray] = None
+    death: Optional[np.ndarray] = None
+    at_death: Optional[np.ndarray] = None
+
+
+def grow_waves(
+    spec: BranchingSpec,
+    x0,
+    t: float,
+    n_roots: int,
+    rng: np.random.Generator,
+    max_vertices: int,
+    value_leaves: Callable[[np.ndarray], np.ndarray],
+    genealogy: bool = False,
+) -> tuple[list[Wave], int, int]:
+    """Grow n_roots independent genealogies from x0 to the horizon t.
+
+    Per wave, in this order, the loop draws the lifetimes, the leaves'
+    motion to the horizon, the internal vertices' motion to their deaths,
+    the dispersal and the decorations. It then releases the internal rows
+    and calls ``value_leaves`` once on the wave's leaf positions.
+    ``genealogy`` also keeps birth, death and internal positions at death.
+
+    The vertex budget is refused up front when the expected vertex count
+    n_roots * E|N(t)| * n0/(n0 - 1) exceeds it, and during growth when the
+    count does. Returns (waves, total vertices, total leaves).
+    """
+    if t < 0:
+        raise ArgumentError("horizon must be nonnegative")
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (spec.dim,):
+        raise ArgumentError(f"start point must have dimension {spec.dim}")
+    n0 = spec.n_children
+    # total vertices of a full n0-ary family tree with L leaves: (n0 L - 1)/(n0 - 1)
+    expected_total = n_roots * expected_population(spec, t) * n0 / max(n0 - 1, 1)
+    if expected_total > max_vertices:
+        raise ResourceError(
+            f"expected ensemble size {expected_total:.3g} vertices "
+            f"exceeds the vertex budget {max_vertices}"
+        )
+
+    waves: list[Wave] = []
+    positions = np.tile(x0, (n_roots, 1))
+    births = np.zeros(n_roots)
+    total = 0
+    total_leaves = 0
+    while positions.shape[0]:
+        n_w = positions.shape[0]
+        total += n_w
+        if total > max_vertices:
+            raise ResourceError(f"ensemble exceeded the vertex budget {max_vertices}")
+        if spec.branch_rate > 0:
+            lifetimes = rng.exponential(1.0 / spec.branch_rate, size=n_w)
+        else:
+            lifetimes = np.full(n_w, np.inf)
+        is_leaf = births + lifetimes >= t
+        wave = Wave(is_leaf)
+        if genealogy:
+            wave.birth = births
+            wave.death = np.where(is_leaf, t, births + lifetimes)
+        leaf_rows = np.flatnonzero(is_leaf)
+        internal_rows = np.flatnonzero(~is_leaf)
+        if leaf_rows.size:
+            leaf_pos = spec.motion(positions[leaf_rows], t - births[leaf_rows], rng)
+        if internal_rows.size:
+            ilife = lifetimes[internal_rows]
+            at_death = spec.motion(positions[internal_rows], ilife, rng)
+            offspring = spec.dispersal(at_death, rng)  # (m, n0, dim)
+            if spec.decoration_fn is not None:
+                wave.decorations = spec.decoration_fn(at_death, offspring, rng)
+            if genealogy:
+                wave.at_death = at_death
+            positions = offspring.reshape(-1, spec.dim)
+            births = np.repeat(births[internal_rows] + ilife, n0)
+            del internal_rows, ilife, at_death, offspring  # released before the leaves are valued
+        else:
+            positions = np.empty((0, spec.dim))
+            births = np.empty(0)
+        if leaf_rows.size:
+            wave.leaves = value_leaves(leaf_pos)
+            del leaf_pos
+            total_leaves += leaf_rows.size
+        waves.append(wave)
+    return waves, total, total_leaves
+
+
+def vote_back(
+    deepest_first: Iterable[Wave],
+    n0: int,
+    leaf_values: Callable[[Wave], np.ndarray],
+    combine: Callable[[Wave, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Vote parameters of wave 0, from waves given deepest first.
+
+    Per wave, ``leaf_values(wave)`` gives one row per leaf (called only
+    when the wave has leaves), then ``combine(wave, children)`` gives one
+    row per internal vertex from the (m, n0, ...) rows of its children.
+    Rows may carry trailing axes, such as one vote per sample.
+    """
+    params = None
+    for wave in deepest_first:
+        leaf = None if wave.leaves is None else leaf_values(wave)
+        inner = None if params is None else combine(wave, params.reshape((-1, n0) + params.shape[1:]))
+        like = inner if leaf is None else leaf
+        params = np.empty(wave.is_leaf.shape + like.shape[1:], like.dtype)
+        if leaf is not None:
+            params[wave.is_leaf] = leaf
+        if inner is not None:
+            params[~wave.is_leaf] = inner
+    return params
+
+
+@dataclass
+class TimeLabelledTree:
+    """One genealogy (one root) in the wave layout."""
+
+    n_children: int
+    dim: int
+    horizon: float
+    root_start: np.ndarray
+    waves: list[Wave]
+
+    def __len__(self):
+        return sum(wave.is_leaf.size for wave in self.waves)
+
+    def leaves(self) -> np.ndarray:
+        """(n_leaves, dim) leaf positions, wave by wave in row order."""
+        return np.concatenate([wave.leaves for wave in self.waves if wave.leaves is not None])
+
+    def validate(self) -> None:
+        """Check the structural invariants; raises ArgumentError."""
+        n0 = self.n_children
+        if not self.waves or self.waves[0].is_leaf.size != 1:
+            raise ArgumentError("missing root")
+        for w, wave in enumerate(self.waves):
+            internal = ~wave.is_leaf
+            below = self.waves[w + 1] if w + 1 < len(self.waves) else None
+            if (0 if below is None else below.is_leaf.size) != n0 * int(internal.sum()):
+                raise ArgumentError(f"partial family or orphan vertex below wave {w}")
+            if np.any(wave.death[internal] <= wave.birth[internal]):
+                raise ArgumentError(f"non-positive lifetime at an internal vertex of wave {w}")
+            if below is not None and np.any(below.birth != np.repeat(wave.death[internal], n0)):
+                raise ArgumentError(f"birth/death mismatch below wave {w}")
+            if np.any(wave.death[wave.is_leaf] != self.horizon):
+                raise ArgumentError(f"a leaf of wave {w} does not die at the horizon")
+
+    # ----- JSON view (documented vertex-list schema) -----
+
+    def to_json(self) -> str:
+        """Schema: {version, n_children, dim, horizon, root_start,
+        vertices: [{path, birth, death, position, decoration?}]}, vertices
+        sorted by their Ulam-Harris path (child indices from the root,
+        1-based), which carries the parent links."""
+        records = []
+        paths = [()]
+        for wave in self.waves:
+            parents = []
+            leaf_row = internal_row = 0
+            for r, path in enumerate(paths):
+                rec = {"path": list(path), "birth": float(wave.birth[r]), "death": float(wave.death[r])}
+                if wave.is_leaf[r]:
+                    rec["position"] = [float(x) for x in wave.leaves[leaf_row]]
+                    leaf_row += 1
+                else:
+                    rec["position"] = [float(x) for x in wave.at_death[internal_row]]
+                    if wave.decorations is not None:
+                        rec["decoration"] = {"__array__": wave.decorations[internal_row].tolist()}
+                    internal_row += 1
+                    parents.append(path)
+                records.append((path, rec))
+            paths = [p + (j,) for p in parents for j in range(1, self.n_children + 1)]
+        records.sort(key=lambda item: item[0])
+        return json.dumps(
+            {
+                "version": 1,
+                "n_children": self.n_children,
+                "dim": self.dim,
+                "horizon": self.horizon,
+                "root_start": [float(x) for x in np.atleast_1d(self.root_start)],
+                "vertices": [rec for _, rec in records],
+            }
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "TimeLabelledTree":
+        """Rebuild the waves from the vertex list. A list that no wave
+        layout holds (no root, an orphan, a partial family, decorations on
+        leaves or on some branching events only) raises ArgumentError."""
+        data = json.loads(text)
+        if data.get("version") != 1:
+            raise ArgumentError("unsupported tree schema version")
+        n0, dim = data["n_children"], data["dim"]
+        records = {tuple(rec["path"]): rec for rec in data["vertices"]}
+        if () not in records:
+            raise ArgumentError("missing root")
+        for path in records:
+            if path and path[:-1] not in records:
+                raise ArgumentError(f"orphan vertex {path}")
+            present = [path + (j,) in records for j in range(1, n0 + 1)]
+            if any(present) and not all(present):
+                raise ArgumentError(f"partial family at {path}")
+        waves = []
+        paths = [()]
+        while paths:
+            rows = [records[p] for p in paths]
+            is_leaf = np.array([p + (1,) not in records for p in paths])
+            pos = np.array([rec["position"] for rec in rows], dtype=float).reshape(len(rows), dim)
+            decorations = [rec.get("decoration") for rec in rows]
+            if any(d is not None for d, leaf in zip(decorations, is_leaf) if leaf):
+                raise ArgumentError("a leaf carries a decoration")
+            inner = [d for d, leaf in zip(decorations, is_leaf) if not leaf]
+            if len({d is None for d in inner}) > 1:
+                raise ArgumentError("only some branching events carry a decoration")
+            waves.append(
+                Wave(
+                    is_leaf,
+                    leaves=pos[is_leaf] if is_leaf.any() else None,
+                    decorations=np.array([d["__array__"] for d in inner]) if inner and inner[0] is not None else None,
+                    birth=np.array([rec["birth"] for rec in rows], dtype=float),
+                    death=np.array([rec["death"] for rec in rows], dtype=float),
+                    at_death=pos[~is_leaf],
+                )
+            )
+            paths = [p + (j,) for p, leaf in zip(paths, is_leaf) if not leaf for j in range(1, n0 + 1)]
+        return cls(n0, dim, data["horizon"], np.array(data["root_start"], dtype=float), waves)
+
+
 def simulate_tree(
     spec: BranchingSpec,
     x0,
@@ -213,49 +334,23 @@ def simulate_tree(
 
     Branch times are the points of a rate-``branch_rate`` exponential
     clock per living particle; offspring positions are drawn from the
-    dispersal law at the parent's death position. Refuses up front when
-    the expected population exceeds the vertex budget.
+    dispersal law at the parent's death position. This is one root of the
+    forest's forward loop on ``derive_rng(rng_seed, 0x7EE5)``, with the
+    forest's vertex budget.
     """
-    if t < 0:
-        raise ArgumentError("horizon must be nonnegative")
+    waves, _, _ = grow_waves(
+        spec, x0, t, 1, derive_rng(rng_seed, 0x7EE5), max_vertices, lambda positions: positions, genealogy=True
+    )
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (spec.dim,):
-        raise ArgumentError(f"start point must have dimension {spec.dim}")
-    expected = expected_population(spec, t)
-    if expected > max_vertices:
-        raise ResourceError(
-            f"expected population {expected:.3g} exceeds the vertex budget "
-            f"{max_vertices} (horizon {t}, rate {spec.branch_rate})"
-        )
-    rng = derive_rng(rng_seed, 0x7EE5)
-    tree = TimeLabelledTree(spec.n_children, spec.dim, t, x0.copy())
-    stack: list[tuple[UlamIndex, float, np.ndarray]] = [(ROOT, 0.0, x0)]
-    while stack:
-        u, birth, pos = stack.pop()
-        lifetime = rng.exponential(1.0 / spec.branch_rate) if spec.branch_rate > 0 else math.inf
-        if birth + lifetime >= t or spec.branch_rate == 0:
-            end = spec.motion(pos[None, :], np.array([t - birth]), rng)[0]
-            tree.vertices[u] = Vertex(birth, t, end)
-            continue
-        death = birth + lifetime
-        at_death = spec.motion(pos[None, :], np.array([lifetime]), rng)[0]
-        offspring = spec.dispersal(at_death[None, :], rng)[0]
-        decoration = None
-        if spec.decoration_fn is not None:
-            decoration = spec.decoration_fn(at_death[None, :], offspring[None, :, :], rng)[0]
-        tree.vertices[u] = Vertex(birth, death, at_death, decoration)
-        if len(tree.vertices) + len(stack) * spec.n_children > max_vertices:
-            raise ResourceError(f"tree exceeded the vertex budget {max_vertices}")
-        for i in range(1, spec.n_children + 1):
-            stack.append((u.child(i), death, offspring[i - 1].copy()))
-    return tree
+    return TimeLabelledTree(spec.n_children, spec.dim, t, x0.copy(), waves)
 
 
-def _leaf_prob(leaf_prob, position: np.ndarray) -> float:
-    value = float(leaf_prob(position))
-    if not 0.0 <= value <= 1.0:
-        raise ArgumentError(f"leaf probability {value} outside [0,1]")
-    return value
+def _leaf_probs(wave: Wave, leaf_prob: Callable[[np.ndarray], float]) -> np.ndarray:
+    values = np.array([float(leaf_prob(position)) for position in wave.leaves])
+    bad = values[~((values >= 0.0) & (values <= 1.0))]
+    if bad.size:
+        raise ArgumentError(f"leaf probability {bad[0]} outside [0,1]")
+    return values
 
 
 def root_vote_prob_exact(
@@ -269,73 +364,58 @@ def root_vote_prob_exact(
     expected theta of its children's parameters (conditioned on this
     tree), so the root value is the conditional vote probability.
     """
-    params: dict[UlamIndex, float] = {}
-    order = sorted(tree.vertices, key=lambda u: u.depth, reverse=True)
-    for u in order:
-        if tree.is_leaf(u):
-            params[u] = _leaf_prob(leaf_prob, tree.vertices[u].position_at_death)
-        else:
-            row = np.array([[params[c] for c in tree.children_of(u)]])
-            params[u] = float(g.combine_params(row)[0])
-    return params[ROOT]
+    root = vote_back(
+        reversed(tree.waves),
+        tree.n_children,
+        lambda wave: _leaf_probs(wave, leaf_prob),
+        lambda wave, children: g.combine_params(children),
+    )
+    return float(root[0])
 
 
-def sample_vote(
+def _vote_samples(
     tree: TimeLabelledTree,
-    leaf_votes: dict[UlamIndex, int],
+    leaf_votes: Callable[[Wave], np.ndarray],
     kernel: ExchangeableKernel,
-    rng_seed: int,
-) -> int:
-    """One bottom-up sampled evaluation of the voting algorithm."""
-    return int(sample_votes_batch(tree, leaf_votes, kernel, 1, rng_seed)[0])
-
-
-def _thin_up(
-    tree: TimeLabelledTree,
-    votes: dict[UlamIndex, np.ndarray],
-    kernel: ExchangeableKernel,
-    n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Fill in the internal vertices' votes, deepest first, from the leaf
-    votes already in ``votes``; returns the root's votes. Deterministic
-    kernels draw nothing, random ones one Bernoulli thinning per vertex."""
-    for u in sorted(tree.vertices, key=lambda u: u.depth, reverse=True):
-        if u in votes:
-            continue
-        stacked = np.stack([votes[c] for c in tree.children_of(u)], axis=1)
-        thetas = kernel.theta_batch(stacked)
-        if kernel.is_deterministic:
-            votes[u] = thetas.astype(np.int8)
-        else:
-            votes[u] = (rng.random(n_samples) < thetas).astype(np.int8)
-    return votes[ROOT]
+    """Root votes from per-wave (n_leaves, n_samples) leaf votes.
+    Deterministic kernels draw nothing, random ones one Bernoulli
+    thinning per internal vertex and sample."""
+
+    def thin(wave, children):
+        thetas = kernel.theta_batch(children)
+        return thetas == 1.0 if kernel.is_deterministic else rng.random(thetas.shape) < thetas
+
+    return vote_back(reversed(tree.waves), tree.n_children, leaf_votes, thin)[0].astype(np.int8)
 
 
 def sample_votes_batch(
     tree: TimeLabelledTree,
-    leaf_votes: dict[UlamIndex, int],
+    leaf_votes,
     kernel: ExchangeableKernel,
     n_samples: int,
     rng_seed: int,
 ) -> np.ndarray:
     """n_samples independent evaluations of the voting algorithm.
 
-    The leaf votes are fixed; the randomness is the per-vertex Bernoulli
-    thinning. Deterministic kernels give constant output. Vectorized
-    over the sample axis, one pass per vertex.
+    ``leaf_votes`` holds one 0/1 vote per leaf, in ``tree.leaves()``
+    order. The leaf votes are fixed; the randomness is the per-vertex
+    Bernoulli thinning. Deterministic kernels give constant output.
     """
-    leaves = tree.leaves()
-    missing = set(leaves) - set(leaf_votes)
-    if missing:
-        raise ArgumentError(f"missing leaf votes for {sorted(map(str, missing))[:3]} ...")
-    votes: dict[UlamIndex, np.ndarray] = {}
-    for u in leaves:
-        v = int(leaf_votes[u])
-        if v not in (0, 1):
-            raise ArgumentError(f"leaf vote at {u} must be 0 or 1")
-        votes[u] = np.full(n_samples, v, dtype=np.int8)
-    return _thin_up(tree, votes, kernel, n_samples, derive_rng(rng_seed, 0xB07E))
+    votes = np.asarray(leaf_votes)
+    n_leaves = [len(wave.leaves) for wave in tree.waves if wave.leaves is not None]
+    if votes.shape != (sum(n_leaves),):
+        raise ArgumentError(f"expected {sum(n_leaves)} leaf votes, got shape {votes.shape}")
+    if not np.all((votes == 0) | (votes == 1)):
+        raise ArgumentError("leaf votes must be 0 or 1")
+    per_wave = np.split(votes == 1, np.cumsum(n_leaves)[:-1])  # the backward pass takes them from the end
+    return _vote_samples(
+        tree,
+        lambda wave: np.broadcast_to(per_wave.pop()[:, None], (len(wave.leaves), n_samples)),
+        kernel,
+        derive_rng(rng_seed, 0xB07E),
+    )
 
 
 def sample_root_votes(
@@ -350,30 +430,9 @@ def sample_root_votes(
     the tree. The mean over replicates estimates the same quantity that
     root_vote_prob_exact computes in closed form on this tree."""
     rng = derive_rng(rng_seed, 0xF077)
-    votes: dict[UlamIndex, np.ndarray] = {}
-    for u in tree.leaves():
-        p = _leaf_prob(leaf_prob, tree.vertices[u].position_at_death)
-        votes[u] = (rng.random(n_samples) < p).astype(np.int8)
-    return _thin_up(tree, votes, kernel, n_samples, rng)
 
+    def leaf_votes(wave):
+        p = _leaf_probs(wave, leaf_prob)
+        return rng.random((p.size, n_samples)) < p[:, None]
 
-@dataclass
-class TreeShapeStats:
-    contains_regular_height: int
-    contained_in_regular_height: int
-    max_displacement_from_root: float
-
-
-def tree_shape_stats(tree: TimeLabelledTree) -> TreeShapeStats:
-    """Largest/smallest regular-tree heights bracketing the genealogy,
-    plus the largest leaf displacement from the root start point."""
-    depths = [u.depth for u in tree.leaves()]
-    disp = max(
-        float(np.linalg.norm(tree.vertices[u].position_at_death - tree.root_start))
-        for u in tree.leaves()
-    )
-    return TreeShapeStats(
-        contains_regular_height=min(depths),
-        contained_in_regular_height=max(depths),
-        max_displacement_from_root=disp,
-    )
+    return _vote_samples(tree, leaf_votes, kernel, rng)

@@ -3,7 +3,6 @@
 from .kernels import (
     ExchangeableKernel,
     majority_kernel,
-    eval_multivariate_g,
 )
 from .gfun import (
     GFunction,
@@ -32,7 +31,6 @@ from .coalescence import (
 __all__ = [
     "ExchangeableKernel",
     "majority_kernel",
-    "eval_multivariate_g",
     "GFunction",
     "GAxiomReport",
     "FixedPoints",

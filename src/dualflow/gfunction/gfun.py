@@ -99,8 +99,8 @@ class GFunction:
     constant outside the unit interval), and the axiom scan reads them
     exactly. ``multivariate`` maps an (m, n_children) matrix of
     probabilities to the m parent parameters; it is None when the
-    multivariate form is unknown (a gbar restored from JSON), and
-    `combine_params` then raises.
+    multivariate form is unknown (a gbar restored from JSON, an
+    unbalanced ``nlv_polynomial_g``), and `combine_params` then raises.
     """
 
     def __init__(
@@ -132,7 +132,7 @@ class GFunction:
         passes up a genealogy exactly as :func:`iterate_g` composes g.
         """
         if self._multivariate is None:
-            raise ArgumentError(f"{self!r}: the multivariate form was not serialised")
+            raise ArgumentError(f"{self!r}: the multivariate form was not serialised or does not match g")
         child_params = np.asarray(child_params, dtype=float)
         if child_params.ndim != 2 or child_params.shape[1] != self.n_children:
             raise ArgumentError(f"expected {self.n_children} probabilities per row, got shape {child_params.shape}")

@@ -18,7 +18,6 @@ from ..errors import ArgumentError
 __all__ = [
     "ExchangeableKernel",
     "majority_kernel",
-    "eval_multivariate_g",
 ]
 
 MAX_EXACT_CHILDREN = 16
@@ -104,18 +103,3 @@ def majority_kernel(n_children: int = 3) -> ExchangeableKernel:
         raise ArgumentError("majority vote needs an odd number of children")
     levels = [0.0] * ((n_children + 1) // 2) + [1.0] * ((n_children + 1) // 2)
     return ExchangeableKernel(levels, label=f"majority{n_children}")
-
-
-def eval_multivariate_g(kernel: ExchangeableKernel, probs: Sequence[float]) -> float:
-    """Expected theta over independent Bernoulli(probs) votes.
-
-    One row of ``kernel.combine_params``, the exact enumeration over all
-    2**n_children vote vectors.
-    """
-    probs = np.asarray(probs, dtype=float)
-    n = kernel.n_children
-    if probs.shape != (n,):
-        raise ArgumentError(f"expected {n} probabilities, got shape {probs.shape}")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ArgumentError("probabilities must lie in [0,1]")
-    return float(kernel.combine_params(probs[None, :])[0])

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ArgumentError
-from .gfun import GFunction
+from .gfun import GFunction, kernel_g
 from .kernels import ExchangeableKernel
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 N_VOTERS = 5
+_DIAGONAL_TOL = 1e-12  # kernel diagonal vs quintic coefficients: 2.2e-15 on balance
 
 
 @dataclass(frozen=True)
@@ -172,26 +173,23 @@ def nlv_polynomial_g(a1: float, a2: float, a3: float, a4: float) -> GFunction:
     """GFunction for the nonlinear voter rates.
 
     g is the closed-form quintic of the module docstring, expanded in
-    powers of p; the multivariate map is the exact enumeration of the
-    five-child kernel. The two agree on the diagonal whenever the
-    balance relations a1 = 1-a4, a2 = 1-a3 hold. Violated phase
-    conditions are flagged (metadata["flags"]), never fatal.
+    powers of p. The multivariate map is the exact enumeration of the
+    five-child kernel, attached (with ``metadata["kernel_levels"]``) only
+    when the kernel's diagonal polynomial is this quintic to rounding,
+    which the balance relations a1 = 1-a4, a2 = 1-a3 ensure. Off
+    balance the two differ, and ``combine_params`` refuses. Violated
+    phase conditions are flagged (metadata["flags"]), never fatal.
     """
     kern = nlv_kernel(a1, a2, a3, a4)
     A = 4 * a1 - a4
     B = 6 * a2 - 4 * a3
     coeffs = [0.0, 1.0 + A, B - 4 * A, 6 * A - 4 * B, 5 * (B - A), 2 * (A - B)]
-    return GFunction(
-        5,
-        coeffs,
-        kern.combine_params,
-        label="nlv",
-        metadata={
-            "rates": {"a1": a1, "a2": a2, "a3": a3, "a4": a4},
-            "flags": nlv_rate_flags(a1, a2, a3, a4),
-            "kernel_levels": list(map(float, kern.levels)),
-        },
-    )
+    metadata = {"rates": {"a1": a1, "a2": a2, "a3": a3, "a4": a4}, "flags": nlv_rate_flags(a1, a2, a3, a4)}
+    # rates are compared through their polynomials: 1 - 0.78 != 0.22 in binary
+    diagonal = np.max(np.abs(kernel_g(kern).coeffs - coeffs)) <= _DIAGONAL_TOL
+    if diagonal:
+        metadata["kernel_levels"] = list(map(float, kern.levels))
+    return GFunction(5, coeffs, kern.combine_params if diagonal else None, label="nlv", metadata=metadata)
 
 
 def g_pi_batch(

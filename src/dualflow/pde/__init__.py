@@ -6,11 +6,9 @@ from .distance import (
     LazySignedDistance,
     signed_distance,
     zero_crossing_points,
-    extract_zero_set_csv,
 )
 from .levelsets import (
     LevelSetTriple,
-    psi_alpha_field,
     psi_alpha_sets,
     curvature_envelope_fields,
     DistanceSupersolutionReport,
@@ -28,9 +26,7 @@ __all__ = [
     "signed_distance",
     "LazySignedDistance",
     "zero_crossing_points",
-    "extract_zero_set_csv",
     "LevelSetTriple",
-    "psi_alpha_field",
     "psi_alpha_sets",
     "curvature_envelope_fields",
     "DistanceSupersolutionReport",

@@ -30,7 +30,6 @@ __all__ = [
     "ZeroSet",
     "signed_distance",
     "LazySignedDistance",
-    "extract_zero_set_csv",
 ]
 
 
@@ -287,11 +286,3 @@ class LazySignedDistance:
             out += weight * self.at(flat + offset)
         return out
 
-
-def extract_zero_set_csv(field: ScalarField) -> str:
-    pts = zero_crossing_points(field)
-    header = ",".join(f"x{k}" for k in range(field.dim))
-    lines = [header]
-    for row in pts:
-        lines.append(",".join(f"{v:.10g}" for v in row))
-    return "\n".join(lines) + "\n"

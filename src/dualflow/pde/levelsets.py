@@ -30,7 +30,6 @@ from .field import ScalarField
 __all__ = [
     "LevelSetTriple",
     "curvature_envelope_fields",
-    "psi_alpha_field",
     "psi_alpha_sets",
     "DistanceSupersolutionReport",
     "check_distance_supersolution",
@@ -86,18 +85,13 @@ def curvature_envelope_fields(phi: ScalarField) -> tuple[np.ndarray, np.ndarray,
     return f_lower, f_upper, np.sqrt(grad2)
 
 
-def psi_alpha_field(phi: ScalarField, alpha: float, h: float) -> ScalarField:
-    """phi - h * (F_lower(D^2 phi, D phi) - alpha) as a field at time h."""
-    if h < 0:
-        raise ArgumentError("h must be nonnegative")
-    f_lower, _, _ = curvature_envelope_fields(phi)
-    vals = phi.values - h * (f_lower - alpha)
-    return ScalarField(phi.dim, phi.origin.copy(), phi.spacing, vals, time_stamp=h)
-
-
 def psi_alpha_sets(phi: ScalarField, alpha: float, h: float) -> LevelSetTriple:
     """Threshold the tilted surface at zero and expose the short-time
-    sub/super-level sets of the flow-consistency conditions."""
+    sub/super-level sets of the flow-consistency conditions. The tilted
+    surface ``psi`` is phi - h * (F_lower(D^2 phi, D phi) - alpha), a
+    field at time h."""
+    if h < 0:
+        raise ArgumentError("h must be nonnegative")
     f_lower, f_upper, _ = curvature_envelope_fields(phi)
     psi_vals = phi.values - h * (f_lower - alpha)
     psi = ScalarField(phi.dim, phi.origin.copy(), phi.spacing, psi_vals, time_stamp=h)

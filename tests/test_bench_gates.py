@@ -6,6 +6,11 @@ the digest of the check statistics must equal the one pinned here, so a
 change that fails a gate or moves a benchmark result bit shows up in
 the test suite, not only in a benchmark run. The digests were recorded
 with numpy 2.4 and scipy 1.17; other versions may round differently.
+
+``perfbench/spans.py`` patches dualflow's functions by module attribute,
+so a renamed or moved function would break only the traced benchmark
+runs; installing and restoring its tracer here shows that every
+attribute it patches still resolves.
 """
 
 import importlib.util
@@ -17,19 +22,23 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
-    "ternary_interface": "5ddbcc5a537bdbca",
+    "ternary_interface": "3ba474770fe60061",
     "nlv_coalescence": "7f9f436296703e8a",
     "curvature_pde": "d9f3b7a3adbdda35",
 }
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_workload_is_pinned(workloads):
@@ -43,3 +52,17 @@ def test_gates_pass_and_digest_pinned(workloads, name):
     outcome = workload.solve(workload.setup(7, cls.sizes["smoke"], 0))
     assert [(gate, detail) for gate, passed, detail in outcome.gates if not passed] == []
     assert outcome.digest == PINNED_DIGESTS[name]
+
+
+def test_span_tracer_patches_resolve_and_restore():
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)  # raises if a patched module or attribute is gone
+        patched = list(tracer._patches)
+    finally:
+        tracer.restore()
+    current = lambda owner, attr: owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+    assert len(patched) >= len(spans._FUNCTIONS) + len(spans.CHECKS)
+    assert all(callable(original) for _, _, original in patched)
+    assert [(attr, current(owner, attr)) for owner, attr, _ in patched] == [(attr, fn) for _, attr, fn in patched]

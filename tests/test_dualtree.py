@@ -1,22 +1,21 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from dualflow.dualtree import (
-    ROOT,
     BranchingSpec,
     TimeLabelledTree,
-    Vertex,
+    Wave,
     estimate_vote_probability,
     forest_root_params,
     root_vote_prob_exact,
-    sample_vote,
     sample_votes_batch,
     simulate_tree,
-    tree_shape_stats,
 )
 from dualflow.errors import ArgumentError, ResourceError
 from dualflow.gfunction import iterate_g, kernel_g, majority_kernel
@@ -28,6 +27,7 @@ from dualflow.verify import plus_phase_profile
 
 from conftest import NLV_RATES
 
+DATA = Path(__file__).parent / "data"
 
 
 def bbm_spec(epsilon=0.3, dim=1):
@@ -37,30 +37,46 @@ def bbm_spec(epsilon=0.3, dim=1):
 def regular_tree(height: int, n_children: int = 3, leaf_positions=0.0) -> TimeLabelledTree:
     """Deterministic full tree with unit branch spacing, for oracles."""
     horizon = float(height) if height > 0 else 1.0
-    tree = TimeLabelledTree(n_children, 1, horizon, np.array([0.0]))
-    frontier = [(ROOT, 0.0)]
-    for level in range(height):
-        nxt = []
-        for u, birth in frontier:
-            tree.vertices[u] = Vertex(birth, birth + 1.0, np.array([0.0]))
-            for i in range(1, n_children + 1):
-                nxt.append((u.child(i), birth + 1.0))
-        frontier = nxt
-    for u, birth in frontier:
-        tree.vertices[u] = Vertex(birth, horizon, np.array([float(leaf_positions)]))
-    return tree
+    waves = []
+    for level in range(height + 1):
+        n, leaf = n_children**level, level == height
+        waves.append(
+            Wave(
+                np.full(n, leaf),
+                leaves=np.full((n, 1), float(leaf_positions)) if leaf else None,
+                birth=np.full(n, float(level)),
+                death=np.full(n, horizon if leaf else level + 1.0),
+                at_death=np.zeros((0 if leaf else n, 1)),
+            )
+        )
+    return TimeLabelledTree(n_children, 1, horizon, np.array([0.0]), waves)
+
+
+def shape(tree: TimeLabelledTree) -> tuple[int, int]:
+    """Heights of the largest regular tree the genealogy contains (the
+    first wave that holds a leaf) and of the smallest that contains it
+    (the number of waves, less one)."""
+    first_leaf = next(w for w, wave in enumerate(tree.waves) if wave.is_leaf.any())
+    return first_leaf, len(tree.waves) - 1
 
 
 class TestUlamIndex:
+    """Ulam-Harris paths of the JSON view: child j of the vertex at path u
+    sits at u + (j,)."""
+
     def test_parent_child(self):
-        u = ROOT.child(2).child(1)
-        assert u.path == (2, 1)
-        assert u.parent().path == (2,)
-        assert u.depth == 2
+        paths = [tuple(rec["path"]) for rec in json.loads(regular_tree(2).to_json())["vertices"]]
+        assert paths == sorted(paths) and len(paths) == 13
+        assert (2, 1) in paths and (2,) in paths
+        assert all(p[:-1] in paths for p in paths if p)
+        assert max(map(len, paths)) == 2
 
     def test_root_has_no_parent(self):
-        with pytest.raises(ArgumentError):
-            ROOT.parent()
+        records = json.loads(regular_tree(2).to_json())["vertices"]
+        root = records[0]
+        assert root["path"] == [] and root["birth"] == 0.0
+        assert [rec["path"] for rec in records if not rec["path"]] == [[]]
+        assert all(rec["birth"] == root["death"] for rec in records if len(rec["path"]) == 1)
 
 
 class TestSimulateTree:
@@ -79,7 +95,7 @@ class TestSimulateTree:
     def test_zero_horizon_single_vertex(self):
         tree = simulate_tree(bbm_spec(), [0.7], 0.0, rng_seed=4)
         assert len(tree) == 1
-        assert tree.vertices[ROOT].position_at_death[0] == pytest.approx(0.7)
+        assert tree.leaves()[0, 0] == pytest.approx(0.7)
 
     def test_mean_leaf_count_matches_growth_rate(self):
         # population mean e^{(N0-1) rate t} = e^{2 rate t} for ternary trees
@@ -109,7 +125,7 @@ class TestSimulateTree:
         lifetimes = []
         for s in range(10000):
             tree = simulate_tree(spec, [0.0], horizon, rng_seed=s)
-            death = tree.vertices[ROOT].death_time
+            death = tree.waves[0].death[0]
             if death < horizon:
                 lifetimes.append(death)
         norm = 1.0 - math.exp(-rate * horizon)
@@ -127,9 +143,7 @@ class TestSimulateTree:
         h, t_extra = 0.15, 0.1
 
         def truncated_count(tree, h):
-            return sum(
-                1 for v in tree.vertices.values() if v.birth_time <= h
-            )
+            return sum(int(np.count_nonzero(wave.birth <= h)) for wave in tree.waves)
 
         direct = []
         truncated = []
@@ -168,45 +182,39 @@ class TestExactRecursion:
     def test_monotone_in_a_single_leaf(self, majority_g):
         # raising any one leaf's probability never lowers the root value
         tree = simulate_tree(bbm_spec(), [0.0], 0.25, rng_seed=8)
-        leaves = sorted(tree.leaves())
-        rng = derive_rng(55, 2)
-        base_probs = {u: float(rng.uniform(0.1, 0.9)) for u in leaves}
-        for bumped in leaves[:: max(1, len(leaves) // 5)]:
-            def p_of(pos, bumped=bumped):
-                for u, prob in base_probs.items():
-                    if np.array_equal(tree.vertices[u].position_at_death, pos):
-                        return min(1.0, prob + 0.3) if u == bumped else prob
-                raise AssertionError("unknown leaf position")
+        leaves = tree.leaves()
+        base_probs = derive_rng(55, 2).uniform(0.1, 0.9, size=len(leaves))
 
-            def p_base(pos):
-                for u, prob in base_probs.items():
-                    if np.array_equal(tree.vertices[u].position_at_death, pos):
-                        return prob
-                raise AssertionError("unknown leaf position")
+        def probs(bumped=None):
+            def p(pos):
+                (i,) = np.flatnonzero(np.all(leaves == pos, axis=1))
+                return min(1.0, base_probs[i] + 0.3) if i == bumped else base_probs[i]
 
-            lo = root_vote_prob_exact(tree, p_base, majority_g)
-            hi = root_vote_prob_exact(tree, p_of, majority_g)
+            return p
+
+        for bumped in range(0, len(leaves), max(1, len(leaves) // 5)):
+            lo = root_vote_prob_exact(tree, probs(), majority_g)
+            hi = root_vote_prob_exact(tree, probs(bumped), majority_g)
             assert lo <= hi + 1e-15
 
 
 class TestSampleVote:
     def test_all_ones_certain(self, majority):
         tree = regular_tree(3)
-        votes = {u: 1 for u in tree.leaves()}
-        assert sample_vote(tree, votes, majority, rng_seed=5) == 1
+        votes = np.ones(len(tree.leaves()), dtype=int)
+        assert sample_votes_batch(tree, votes, majority, 1, rng_seed=5)[0] == 1
 
     def test_deterministic_kernel_ignores_seed(self, majority):
         tree = regular_tree(2)
-        votes = {u: (1 if i % 2 else 0) for i, u in enumerate(sorted(tree.leaves()))}
-        outs = {sample_vote(tree, votes, majority, rng_seed=s) for s in range(10)}
+        votes = np.arange(len(tree.leaves())) % 2
+        outs = {int(sample_votes_batch(tree, votes, majority, 1, rng_seed=s)[0]) for s in range(10)}
         assert len(outs) == 1
 
     def test_incomplete_votes_rejected(self, majority):
         tree = regular_tree(2)
-        votes = {u: 1 for u in tree.leaves()}
-        votes.pop(next(iter(votes)))
+        votes = np.ones(len(tree.leaves()) - 1, dtype=int)
         with pytest.raises(ArgumentError):
-            sample_vote(tree, votes, majority, rng_seed=5)
+            sample_votes_batch(tree, votes, majority, 1, rng_seed=5)
 
     def test_sampled_mean_matches_exact_recursion(self):
         # random kernel so the per-vertex thinning is active
@@ -214,17 +222,15 @@ class TestSampleVote:
 
         kern = ExchangeableKernel([0.0, 0.25, 0.8, 1.0])
         tree = simulate_tree(bbm_spec(epsilon=0.4), [0.0], 0.2, rng_seed=17)
-        rng = derive_rng(3, 1)
-        leaf_bits = {u: int(rng.random() < 0.6) for u in tree.leaves()}
+        leaves = tree.leaves()
+        leaf_bits = (derive_rng(3, 1).random(len(leaves)) < 0.6).astype(int)
 
         # with fixed leaf bits the target is the recursion on those bits
-        params = {u: float(bit) for u, bit in leaf_bits.items()}
-        order = sorted(tree.vertices, key=lambda u: u.depth, reverse=True)
-        for u in order:
-            if not tree.is_leaf(u):
-                child_ps = np.array([[params[c] for c in tree.children_of(u)]])
-                params[u] = float(kern.combine_params(child_ps)[0])
-        target = params[ROOT]
+        def bit(pos):
+            (i,) = np.flatnonzero(np.all(leaves == pos, axis=1))
+            return float(leaf_bits[i])
+
+        target = root_vote_prob_exact(tree, bit, kern)
 
         n = 20000
         mean = float(np.mean(sample_votes_batch(tree, leaf_bits, kern, n, rng_seed=11)))
@@ -242,18 +248,11 @@ class TestShapeStats:
             dispersal=lambda parents, rng: np.repeat(parents[:, None, :], 3, axis=1),
         )
         tree = simulate_tree(spec, [0.0], 1.0, rng_seed=2)
-        st = tree_shape_stats(tree)
-        assert st.contains_regular_height == 0
-        assert st.contained_in_regular_height == 0
-        assert st.max_displacement_from_root == pytest.approx(
-            abs(tree.vertices[ROOT].position_at_death[0])
-        )
+        assert shape(tree) == (0, 0)
+        assert tree.leaves().shape == (1, 1)
 
     def test_deterministic_full_tree(self):
-        tree = regular_tree(3)
-        st = tree_shape_stats(tree)
-        assert st.contains_regular_height == 3
-        assert st.contained_in_regular_height == 3
+        assert shape(regular_tree(3)) == (3, 3)
 
 
 class TestForest:
@@ -322,6 +321,24 @@ class TestForest:
         assert a.value == b.value
 
 
+def _recorded_bbm():
+    return lambda pos: float(np.clip(0.5 + 0.4 * math.tanh(pos[0] - 0.1), 0.0, 1.0)), ternary_bbm(0.3, 1).kernel
+
+
+def _recorded_nlv():
+    bundle = nonlinear_voter_dual(0.45, L=2, dim=3, gbar_samples=200, gbar_seed=1)
+    return lambda pos: float(np.clip(0.5 + 0.3 * pos[0] - 0.2 * pos[1] + 0.1 * pos[2], 0.0, 1.0)), bundle.g
+
+
+# file under tests/data -> (leaf_prob, g) its recorded root value was voted
+# with: simulate_tree(ternary_bbm(0.3, 1).spec, [0.3], 0.25, rng_seed=21) and
+# the nlv_tree fixture's genealogy, both from the dict layout's simulator
+RECORDED_TREES = {
+    "tree_ternary_bbm_d1_seed21.json": _recorded_bbm,
+    "tree_nlv_d3_seed5.json": _recorded_nlv,
+}
+
+
 class TestTreeJson:
     def test_roundtrip_identity(self):
         tree = simulate_tree(bbm_spec(), [0.3], 0.25, rng_seed=21)
@@ -339,6 +356,51 @@ class TestTreeJson:
         rec = data["vertices"][0]
         assert {"path", "birth", "death", "position"} <= set(rec)
 
+    @pytest.mark.parametrize("name", sorted(RECORDED_TREES))
+    def test_recorded_tree_round_trip(self, name):
+        # recorded with the Ulam-Harris dict layout: the wave layout loads
+        # them, re-serialises them byte for byte and votes to the same root
+        text = (DATA / name).read_text()
+        tree = TimeLabelledTree.from_json(text)
+        tree.validate()
+        assert tree.to_json() == text
+        leaf, g = RECORDED_TREES[name]()
+        recorded = json.loads((DATA / "tree_root_values.json").read_text())[name]
+        assert root_vote_prob_exact(tree, leaf, g) == recorded
+
+    @pytest.mark.parametrize(
+        "fault, match",
+        [
+            ("missing_root", "missing root"),
+            ("orphan", "orphan"),
+            ("partial_family", "partial family"),
+            ("internal_lifetime", "non-positive lifetime"),
+            ("birth_mismatch", "birth/death mismatch"),
+            ("leaf_before_horizon", "horizon"),
+        ],
+    )
+    def test_malformed_tree_rejected(self, fault, match):
+        data = json.loads((DATA / "tree_ternary_bbm_d1_seed21.json").read_text())
+        records = {tuple(rec["path"]): rec for rec in data["vertices"]}
+        leaf = next(p for p in sorted(records, reverse=True) if p + (1,) not in records)
+        if fault == "missing_root":
+            del records[()]
+        elif fault == "orphan":
+            for j in (1, 2, 3):
+                records[(9, j)] = dict(records[leaf], path=[9, j])
+        elif fault == "partial_family":
+            del records[leaf]
+        elif fault == "internal_lifetime":
+            records[()]["death"] = records[()]["birth"]
+        elif fault == "birth_mismatch":
+            records[leaf]["birth"] += 1e-3
+        else:
+            records[leaf]["death"] = data["horizon"] - 1e-3
+        data["vertices"] = list(records.values())
+        with pytest.raises(ArgumentError, match=match):
+            TimeLabelledTree.from_json(json.dumps(data)).validate()
+
+
 
 @pytest.fixture(scope="module")
 def nlv_tree():
@@ -351,15 +413,17 @@ def nlv_tree():
 class TestDecoratedTree:
     def test_json_roundtrip_keeps_decorations(self, nlv_tree):
         _, tree = nlv_tree
-        decorated = {u: v.decoration for u, v in tree.vertices.items() if v.decoration is not None}
-        assert len(decorated) == len(tree.internal()) == 14
+        events = sum(int(np.count_nonzero(~wave.is_leaf)) for wave in tree.waves)
         back = TimeLabelledTree.from_json(tree.to_json())
         back.validate()
         assert back.to_json() == tree.to_json()
-        for u, dec in decorated.items():
-            got = back.vertices[u].decoration
-            assert got.dtype == np.int64 and got.shape == (5, 3)
+        rows = [(a.decorations, b.decorations) for a, b in zip(tree.waves, back.waves) if a.decorations is not None]
+        assert events > 0 and sum(len(dec) for dec, _ in rows) == events
+        for dec, got in rows:
+            assert got.dtype == np.int64 and got.shape[1:] == (5, 3)
             assert np.array_equal(got, dec)
+        recorded = json.loads((DATA / "tree_nlv_d3_seed5.json").read_text())["vertices"]
+        assert sum("decoration" in rec for rec in recorded) == 14
 
     def test_exact_recursion_with_frozen_g_keeps_equilibria(self, nlv_tree):
         # the bundle's effective g ignores decorations; constant equilibrium
@@ -367,6 +431,33 @@ class TestDecoratedTree:
         bundle, tree = nlv_tree
         for c in bundle.equilibria:
             assert root_vote_prob_exact(tree, lambda pos, c=c: c, bundle.g) == pytest.approx(c, abs=1e-12)
+
+
+class TestOneLayout:
+    """A genealogy is one root of the forest: same loop, same stream, same
+    backward pass, so the two agree bit for bit."""
+
+    @staticmethod
+    def _cases():
+        sr = sexual_reproduction_dual(0.4, dim=2, mesh=0.1)
+        nlv = nonlinear_voter_dual(0.45, L=2, dim=3, gbar_samples=200, gbar_seed=1)
+        return {
+            "ternary_bbm_d1": (ternary_bbm(0.3, 1).spec, [0.1], 0.25, ternary_bbm(0.3, 1).kernel),
+            "ternary_bbm_d2": (ternary_bbm(0.3, 2).spec, [0.1, -0.2], 0.2, ternary_bbm(0.3, 2).kernel),
+            "sexual_reproduction_lattice_walk": (sr.spec, [0.1, -0.2], 0.3, sr.kernel),
+            "nonlinear_voter_decorated": (nlv.spec, [0.0, 0.0, 0.0], 0.15, nlv.g),
+        }
+
+    @pytest.mark.parametrize("name", ["ternary_bbm_d1", "ternary_bbm_d2", "sexual_reproduction_lattice_walk", "nonlinear_voter_decorated"])
+    def test_tree_is_a_one_root_forest(self, name):
+        spec, x0, t, kernel = self._cases()[name]
+        leaf_vec = lambda P: np.clip(0.5 + 0.8 * P[:, 0] - 0.3 * P[:, -1], 0.0, 1.0)
+        leaf = lambda pos: float(leaf_vec(pos[None, :])[0])
+        for s in range(6):
+            tree = simulate_tree(spec, x0, t, s)
+            res = forest_root_params(spec, x0, t, leaf_vec, kernel, 1, derive_rng(s, 0x7EE5))
+            assert res.total_vertices == len(tree) and res.max_depth == len(tree.waves) - 1
+            assert root_vote_prob_exact(tree, leaf, kernel) == res.root_params[0]
 
 
 class TestRegularContainment:
@@ -383,7 +474,7 @@ class TestRegularContainment:
         hits = 0
         for s in range(n):
             tree = simulate_tree(spec, [0.0], t, rng_seed=50_000 + s)
-            if tree_shape_stats(tree).contains_regular_height >= height_target:
+            if shape(tree)[0] >= height_target:
                 hits += 1
         frac = hits / n
         se = math.sqrt(0.05 * 0.95 / n)

@@ -14,7 +14,6 @@ from dualflow.gfunction import (
     GAxiomReport,
     GFunction,
     MarkedPartition,
-    eval_multivariate_g,
     find_fixed_points,
     g_pi_batch,
     gbar,
@@ -28,6 +27,11 @@ from dualflow.gfunction import (
 from dualflow.models import SR_THETA_LEVELS
 
 from conftest import NLV_RATES, hand_majority_cubic
+
+
+def eval_multivariate_g(kernel, probs):
+    """One row of the kernel g's multivariate form."""
+    return float(kernel_g(kernel).combine_params(np.asarray([probs], dtype=float))[0])
 
 
 class TestEvalMultivariate:

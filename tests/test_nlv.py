@@ -5,12 +5,14 @@ from dualflow.errors import ArgumentError
 from dualflow.gfunction import (
     MarkedPartition,
     all_marked_partitions,
-    eval_multivariate_g,
     find_fixed_points,
     g_pi_batch,
+    kernel_g,
     nlv_kernel,
+    nlv_polynomial_g,
     nlv_rate_flags,
     singleton_partition,
+    verify_g_axioms,
 )
 from dualflow.gfunction.nlv import g_pi_univariate_coeffs
 
@@ -32,8 +34,23 @@ class TestPolynomialG:
         # oracle: exact enumeration of the five-child kernel at equal inputs
         kern = nlv_kernel(**NLV_RATES)
         for p in (0.3, 0.1, 0.77):
-            enum = eval_multivariate_g(kern, [p] * 5)
+            enum = kern.combine_params(np.full((1, 5), p))[0]
             assert float(nlv_g(p)) == pytest.approx(enum, abs=1e-14)
+
+    def test_unbalanced_rates_refuse_the_multivariate_form(self):
+        # off balance the kernel's diagonal is not the quintic: at p = 0.3
+        # the quintic gives 0.2596 and the kernel 0.2345, so a constant row
+        # and a row one ulp off it would disagree; no form is attached
+        rows = np.array([[0.3] * 5, [0.3] * 4 + [0.3 + 1e-12]])
+        balanced = nlv_polynomial_g(**NLV_RATES)
+        assert abs(np.diff(balanced.combine_params(rows))[0]) < 1e-11
+        g = nlv_polynomial_g(0.1, 0.3, 0.6, 0.85)
+        assert "kernel_levels" not in g.metadata
+        with pytest.raises(ArgumentError, match="multivariate form"):
+            g.combine_params(rows)
+        report = verify_g_axioms(g)
+        assert not report.passes["g0"]
+        assert "multivariate evaluation unavailable; monotonicity unchecked" in report.notes
 
     def test_interior_fixed_points_analytic(self, nlv_g):
         # A = 0.1, B = -0.5: interior roots solve p(1-p) = A/(A-B) = 1/6
@@ -95,7 +112,7 @@ class TestGPi:
         rng = np.random.default_rng(42)
         for _ in range(25):
             probs = rng.uniform(0, 1, 5)
-            assert g_pi(pi0, probs, **NLV_RATES) == eval_multivariate_g(kern, probs)
+            assert g_pi(pi0, probs, **NLV_RATES) == kernel_g(kern).combine_params(probs[None, :])[0]
 
     def test_all_in_one_block_copies_the_mark(self):
         for j in range(1, 6):

@@ -18,11 +18,9 @@ from dualflow.pde import (
     curvature_envelope_fields,
     curvature_rhs,
     evolve_mcf_levelset,
-    extract_zero_set_csv,
     f_lstar,
     f_star,
     field_from_function,
-    psi_alpha_field,
     psi_alpha_sets,
     reaction_time_step,
     signed_distance,
@@ -460,7 +458,7 @@ class TestPsiAlpha:
         # and its zero radius is sqrt(1 - h (1 + alpha))
         f = circle_field(n=128, half=2.0)
         h, alpha = 0.04, 0.0
-        psi = psi_alpha_field(f, alpha, h)
+        psi = psi_alpha_sets(f, alpha, h).psi
         radius = np.linalg.norm(zero_crossing_points(psi), axis=1).mean()
         assert radius == pytest.approx(math.sqrt(1 - h), abs=2e-3)
 
@@ -653,12 +651,10 @@ class TestFieldIO:
         assert np.array_equal(back.values, f.values)
         assert np.array_equal(back.origin, f.origin)
 
-    def test_zero_set_csv(self):
-        f = circle_field(n=48)
-        csv = extract_zero_set_csv(f)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "x0,x1"
-        pts = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    def test_zero_set_points(self):
+        # the zero set as points, one row per crossing, dim columns
+        pts = zero_crossing_points(circle_field(n=48))
+        assert pts.ndim == 2 and pts.shape[1] == 2 and len(pts) > 0
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=0.05)
 
     def test_interp_matches_grid_values(self):

@@ -347,6 +347,18 @@ class TestDualityChecks:
         )
         assert rep.passed
 
+    def test_mcf_duality_runs_in_3d(self):
+        # the level-set flow's default step must be stable in 3-D (1/6 bound)
+        p0 = field_from_function(
+            lambda P: np.where(np.linalg.norm(P, axis=1) < 0.3, 0.0, 1.0),
+            origin=[-1.2] * 3, spacing=2.4 / 24, extents=[25] * 3,
+        )
+        rep = check_mcf_duality(
+            lambda e: ternary_bbm(e, 3), p0, T_list=[0.05], epsilon_list=[0.3],
+            sample_points=[[0.8, 0.0, 0.0]], n_samples=200, rng_seed=9, margin=0.08,
+        )
+        assert rep.name == "mcf_duality" and math.isfinite(rep.statistic)
+
     def test_degenerate_p_rejected(self):
         mk = lambda e: ternary_bbm(e, 2)
         p0 = field_from_function(
