@@ -159,17 +159,17 @@ def grow_waves(
         leaf_rows = np.flatnonzero(is_leaf)
         internal_rows = np.flatnonzero(~is_leaf)
         if leaf_rows.size:
-            leaf_pos = spec.motion(positions[leaf_rows], t - births[leaf_rows], rng)
+            leaf_pos = spec.motion(positions.take(leaf_rows, axis=0), t - births.take(leaf_rows), rng)
         if internal_rows.size:
-            ilife = lifetimes[internal_rows]
-            at_death = spec.motion(positions[internal_rows], ilife, rng)
+            ilife = lifetimes.take(internal_rows)
+            at_death = spec.motion(positions.take(internal_rows, axis=0), ilife, rng)
             offspring = spec.dispersal(at_death, rng)  # (m, n0, dim)
             if spec.decoration_fn is not None:
                 wave.decorations = spec.decoration_fn(at_death, offspring, rng)
             if genealogy:
                 wave.at_death = at_death
             positions = offspring.reshape(-1, spec.dim)
-            births = np.repeat(births[internal_rows] + ilife, n0)
+            births = np.repeat(births.take(internal_rows) + ilife, n0)
             del internal_rows, ilife, at_death, offspring  # released before the leaves are valued
         else:
             positions = np.empty((0, spec.dim))
@@ -202,9 +202,9 @@ def vote_back(
         like = inner if leaf is None else leaf
         params = np.empty(wave.is_leaf.shape + like.shape[1:], like.dtype)
         if leaf is not None:
-            params[wave.is_leaf] = leaf
+            params[np.flatnonzero(wave.is_leaf)] = leaf
         if inner is not None:
-            params[~wave.is_leaf] = inner
+            params[np.flatnonzero(~wave.is_leaf)] = inner
     return params
 
 

@@ -225,17 +225,22 @@ class LazySignedDistance:
         self.coords = coords
         self._sign = _node_sign(field).astype(np.int8)
         self._values = np.full(self._sign.size, np.nan)  # NaN until evaluated
+        self._mark = np.zeros(self._sign.size, dtype=bool)
 
     def at(self, flat: np.ndarray) -> np.ndarray:
         """Signed distance at the given flat (row-major) node indices."""
-        need = np.unique(flat[np.isnan(self._values[flat])])
+        need = flat[np.isnan(self._values[flat])]
         if need.size:
+            self._mark[need] = True  # each node once, in row-major order
+            need = np.flatnonzero(self._mark)
+            self._mark[need] = False
             dist = self.zero_set.distance(self.coords[need])
             self._values[need] = dist * self._sign[need]
         return self._values[flat]
 
-    def band(self, r0: float) -> np.ndarray:
-        """Flat mask of the nodes with |signed distance| < r0.
+    def band(self, r0: float, nodes: np.ndarray | None = None) -> np.ndarray:
+        """Mask of the given flat nodes (all nodes by default) with
+        |signed distance| < r0; equal to ``band(r0)[nodes]``.
 
         In 2-D the nearest segment midpoint bounds the distance from both
         sides: it lies on the zero set, and no segment reaches further
@@ -244,18 +249,20 @@ class LazySignedDistance:
         midpoint cell are queried for the nearest midpoint. Other
         dimensions evaluate every node.
         """
-        mask = self._sign == 0  # zero-valued nodes have signed distance 0
+        if nodes is None:
+            nodes = np.arange(self._sign.size)
+        mask = self._sign[nodes] == 0  # zero-valued nodes have signed distance 0
         if self.zero_set.half_max is None:
-            shell = np.arange(mask.size)
+            shell = np.arange(nodes.size)
         else:
             margin = 1e-9 * max(1.0, float(np.abs(self.coords).max()))  # rounding
             reach = r0 + self.zero_set.half_max + margin
-            near = np.full(mask.size, np.inf)
-            query = np.flatnonzero(self._near_midpoints(reach))
-            near[query] = self.zero_set.tree.query(self.coords[query], k=1, distance_upper_bound=reach)[0]
+            near = np.full(nodes.size, np.inf)
+            query = np.flatnonzero(self._near_midpoints(reach)[nodes])
+            near[query] = self.zero_set.tree.query(self.coords[nodes[query]], k=1, distance_upper_bound=reach)[0]
             mask |= near < r0 - margin
             shell = np.flatnonzero(~mask & (near < reach))
-        mask[shell] = np.abs(self.at(shell)) < r0
+        mask[shell] = np.abs(self.at(nodes[shell])) < r0
         return mask
 
     def _near_midpoints(self, reach: float) -> np.ndarray:
@@ -281,8 +288,9 @@ class LazySignedDistance:
     def interp(self, points: np.ndarray) -> np.ndarray:
         """Same as `signed_distance(field).interp(points)`."""
         flat, corners = self.field.interp_corners(points)
+        offsets = np.array([offset for offset, _ in corners])
+        values = self.at((offsets[:, None] + flat).ravel()).reshape(offsets.size, -1)
         out = np.zeros(flat.shape[0])
-        for offset, weight in corners:
-            out += weight * self.at(flat + offset)
+        for (_, weight), value in zip(corners, values):
+            out += weight * value
         return out
-

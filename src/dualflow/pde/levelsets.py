@@ -168,7 +168,7 @@ def check_distance_supersolution(
 
     interior = np.zeros(shape, dtype=bool)
     interior[tuple(slice(margin, -margin) for _ in range(dim))] = True
-    interior = interior.ravel()
+    interior = np.flatnonzero(interior)
     # the band keeps margin >= lap_step_cells nodes from the walls, so every
     # Laplacian stencil node, idx +- lap_step_cells * stride, lies on the grid
     offsets = [lap_step_cells * math.prod(shape[k + 1 :]) for k in range(dim)]
@@ -181,7 +181,7 @@ def check_distance_supersolution(
     max_grad = 0.0
     for i in range(1, n_times - 1):
         mid = dists[i]
-        idx = np.flatnonzero(mid.band(band_r0) & interior)
+        idx = interior[mid.band(band_r0, interior)]
         n_band += idx.size
         if not idx.size:
             continue

@@ -632,64 +632,68 @@ def check_ito_coupling_drift(
     tests E[d at s^Lambda] <= d(t,x) - alpha/(4L) E[s^Lambda] up to
     4 sigma plus a discretization budget. With alpha = 0 and planar phi
     the process is an exact martingale.
+
+    L is the sup of |D psi| over the band of every tau-slice. Slice j is
+    built when path step j reads it and dropped after the step; a slice
+    equal to the one before keeps its distances. Distances are evaluated
+    lazily (`LazySignedDistance`), and band membership only at the nodes
+    whose |D psi| exceeds the running L, the only nodes that can raise
+    it.
     """
-    if s <= 0 or s > t:
-        raise ArgumentError("need 0 < s <= t")
-    if n_paths < 2:
-        raise ArgumentError("need n_paths >= 2 for a standard error")
-    if n_steps < 1:
-        raise ArgumentError("need n_steps >= 1")
+    if not (math.isfinite(t) and 0 < s <= t):
+        raise ArgumentError("need 0 < s <= t, t finite")
+    for name, count, least in (("n_paths", n_paths, 2), ("n_steps", n_steps, 1)):
+        if not isinstance(count, (int, np.integer)) or count < least:
+            raise ArgumentError(f"need an integer {name} >= {least}")
     if not (math.isfinite(band_r0) and band_r0 > 0):
         raise ArgumentError("band_r0 must be finite and positive")
     if x is None:
         raise ArgumentError("starting point x is required")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dim = phi.dim
-    if x.shape != (dim,):
-        raise ArgumentError("x must match the field dimension")
+    if x.shape != (dim,) or not np.isfinite(x).all():
+        raise ArgumentError("x must be finite and match the field dimension")
     if budget is None:
         budget = phi.spacing
+    if not (math.isfinite(budget) and budget >= 0):
+        raise ArgumentError("budget must be finite and nonnegative")
     rng = derive_rng(rng_seed, 0x170)
     with timed_report() as box:
         f_lower, _, _ = curvature_envelope_fields(phi)
         shift = f_lower - alpha
         taus = t - np.linspace(0.0, s, n_steps + 1)  # backward times along the path
         coords = phi.coordinates()
-        # distances are evaluated only at the band shell and at the nodes
-        # the paths interpolate, |D psi| only on the band
-        dists = []
+        nodes = np.arange(coords.shape[0])
+        dt_step = s / n_steps
+        pos = np.tile(x, (n_paths, 1))  # the live paths' positions
+        alive = np.arange(n_paths)
+        time_in = np.zeros(n_paths)
+        dist = None
         L = 0.0  # sup |D psi| over the band, all slices
-        for tau in taus:
-            psi = ScalarField(dim, phi.origin.copy(), phi.spacing, phi.values - tau * shift, tau)
-            dist = LazySignedDistance(psi, coords)
-            dists.append(dist)
-            band = np.flatnonzero(dist.band(band_r0))
-            if band.size:
-                L = max(L, float(_gradient_norm_at(psi.values, phi.spacing, band).max()))
-
-        d0 = float(dists[0].interp(x[None, :])[0])
-        if abs(d0) >= band_r0:
-            raise ArgumentError(f"x starts outside the band (|d|={abs(d0):.3g} >= {band_r0})")
+        for j, tau in enumerate(taus):
+            values = phi.values - tau * shift
+            if dist is None or not np.array_equal(values, dist.field.values):
+                dist = LazySignedDistance(ScalarField(dim, phi.origin.copy(), phi.spacing, values, tau), coords)
+                grad = _gradient_norm_at(values, phi.spacing, nodes)
+                rising = np.flatnonzero(grad > L)
+                in_band = rising[dist.band(band_r0, rising)]
+                if in_band.size:
+                    L = max(L, float(grad[in_band].max()))
+            if j == 0:
+                d0 = float(dist.interp(x[None, :])[0])
+                if abs(d0) >= band_r0:
+                    raise ArgumentError(f"x starts outside the band (|d|={abs(d0):.3g} >= {band_r0})")
+                d_final = np.full(n_paths, d0)
+            elif alive.size:
+                pos += math.sqrt(dt_step) * rng.standard_normal((alive.size, dim))
+                d_now = dist.interp(pos)
+                d_final[alive] = d_now
+                time_in[alive] = j * dt_step
+                stay = np.flatnonzero((np.abs(d_now) < band_r0) & (tau > 0))
+                alive = alive.take(stay)
+                pos = pos.take(stay, axis=0)
         if L <= 0:
             raise ArgumentError("gradient bound L vanished on the band")
-
-        dt_step = s / n_steps
-        pos = np.tile(x, (n_paths, 1))
-        alive = np.ones(n_paths, dtype=bool)
-        d_final = np.full(n_paths, d0)
-        time_in = np.zeros(n_paths)
-        for j in range(1, n_steps + 1):
-            if not alive.any():
-                break
-            pos[alive] += math.sqrt(dt_step) * rng.standard_normal((int(alive.sum()), dim))
-            d_now = dists[j].interp(pos[alive])
-            d_final[alive] = d_now
-            time_in[alive] = j * dt_step
-            exited = np.abs(d_now) >= band_r0
-            if taus[j] <= 0:
-                exited = np.ones_like(exited, dtype=bool)
-            alive_idx = np.flatnonzero(alive)
-            alive[alive_idx[exited]] = False
         mean_d = float(np.mean(d_final))
         se_d = float(np.std(d_final, ddof=1) / math.sqrt(n_paths))
         mean_stop = float(np.mean(time_in))

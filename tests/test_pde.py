@@ -396,6 +396,24 @@ class TestLazySignedDistance:
         for r0 in (1e-3, 0.05, 0.25, 0.5, 1.5):
             assert np.array_equal(LazySignedDistance(f, f.coordinates()).band(r0), full < r0)
 
+    @pytest.mark.parametrize("name", ["zero_nodes_circle", "plane", "line1d", "sphere3d"])
+    def test_band_on_node_subsets(self, name):
+        if name == "zero_nodes_circle":  # 12 nodes lie exactly on the circle, such as (3, 4)
+            f = field_from_function(
+                lambda P: np.sum(P**2, axis=1) - 25.0, origin=[-8.0, -8.0], spacing=0.5, extents=[33, 33]
+            )
+            assert np.count_nonzero(f.values == 0.0) == 12
+        else:
+            f = _distance_cases()[name]
+        n = f.values.size
+        rng = np.random.default_rng(4)
+        for r0 in (0.05, 0.5, 1.5):
+            full = LazySignedDistance(f, f.coordinates()).band(r0)
+            for size in (0, 1, n // 5, n):
+                nodes = rng.choice(n, size=size, replace=False)
+                got = LazySignedDistance(f, f.coordinates()).band(r0, nodes)
+                assert got.dtype == bool and np.array_equal(got, full[nodes])
+
     def test_band_evaluates_a_thin_shell(self):
         f = circle_field(n=128, half=2.0)
         lazy = LazySignedDistance(f, f.coordinates())

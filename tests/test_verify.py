@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dualflow.models import (
     ternary_bbm,
 )
 from dualflow.onedim import step_profile
-from dualflow.pde import ScalarField, field_from_function
+from dualflow.pde import ScalarField, distance, field_from_function
 from dualflow.verify import (
     check_allen_cahn_duality,
     check_diffusivity,
@@ -230,6 +231,11 @@ class TestItoDrift:
             {"band_r0": -0.5},
             {"band_r0": math.nan},
             {"band_r0": math.inf},
+            {"x": [math.nan, 0.0]},
+            {"budget": math.nan},
+            {"budget": -1.0},
+            {"n_paths": 10.5},
+            {"n_steps": 2.5},
         ],
     )
     def test_bad_arguments_rejected(self, override):
@@ -277,22 +283,86 @@ class TestItoDrift:
             "notes": [],
             "reference": "distance along Brownian paths drifts down at rate alpha/(4L)",
         },
+        # the benchmark's arguments (10,000 paths), where more paths stay
+        # in the band to the end
+        "planar_bench": {
+            "name": "ito_coupling_drift",
+            "inputs": {"alpha": 0.0, "t": 0.1, "s": 0.05, "band_r0": 0.5, "n_paths": 10000, "n_steps": 64, "x": [0.0, 0.0]},
+            "statistic": -0.002975722160990151,
+            "threshold": 0.04048036620889965,
+            "passed": True,
+            "budget": {
+                "mc_4sigma": 0.008984303216773666,
+                "discretization": 0.031496062992125984,
+                "L": 1.0000000000000053,
+                "mean_stop_time": 0.049519062499999995,
+                "d0": -2.7755575615628914e-17,
+                "mean_d_final": -0.0029757221609901787,
+            },
+            "seed": 2,
+            "notes": [],
+            "reference": "distance along Brownian paths drifts down at rate alpha/(4L)",
+        },
+        "circular_bench": {
+            "name": "ito_coupling_drift",
+            "inputs": {"alpha": 1.0, "t": 0.05, "s": 0.03, "band_r0": 0.25, "n_paths": 10000, "n_steps": 64, "x": [1.05, 0.0]},
+            "statistic": -0.0132380777414349,
+            "threshold": 0.03795265787253825,
+            "passed": True,
+            "budget": {
+                "mc_4sigma": 0.006456594880412269,
+                "discretization": 0.031496062992125984,
+                "L": 2.4562890845159675,
+                "mean_stop_time": 0.024987374999999996,
+                "d0": 0.10157152230971062,
+                "mean_d_final": 0.08579024076161507,
+            },
+            "seed": 2,
+            "notes": [],
+            "reference": "distance along Brownian paths drifts down at rate alpha/(4L)",
+        },
     }
 
-    @pytest.mark.parametrize("case", ["planar", "circular"])
-    def test_reports_pinned(self, case):
+    @staticmethod
+    def _run(case, **kwargs):
         if case == "planar":
-            rep = check_ito_coupling_drift(
-                plane_phi(), alpha=0.0, t=0.1, s=0.05, band_r0=0.5, n_paths=300, rng_seed=2, x=[0.0, 0.0]
+            return check_ito_coupling_drift(
+                plane_phi(), alpha=0.0, t=0.1, s=0.05, band_r0=0.5, rng_seed=2, x=[0.0, 0.0], **kwargs
             )
-        else:
-            rep = check_ito_coupling_drift(
-                circle_phi(half=2.0), alpha=1.0, t=0.05, s=0.03, band_r0=0.25,
-                n_paths=300, rng_seed=2, x=[1.05, 0.0],
-            )
+        return check_ito_coupling_drift(
+            circle_phi(half=2.0), alpha=1.0, t=0.05, s=0.03, band_r0=0.25, rng_seed=2, x=[1.05, 0.0], **kwargs
+        )
+
+    @pytest.mark.parametrize("case", ["planar", "circular", "planar_bench", "circular_bench"])
+    def test_reports_pinned(self, case):
+        rep = self._run(case.removesuffix("_bench"), n_paths=10000 if case.endswith("_bench") else 300)
         got = json.loads(rep.to_json())
         got.pop("runtime")
         assert got == self.PINNED[case]
+
+    @pytest.mark.parametrize("case, slices", [("planar", 1), ("circular", 65)])
+    def test_equal_slices_share_one_zero_set(self, monkeypatch, case, slices):
+        built = []
+
+        class CountingZeroSet(distance.ZeroSet):
+            def __init__(self, field):
+                built.append(field.time_stamp)
+                super().__init__(field)
+
+        monkeypatch.setattr(distance, "ZeroSet", CountingZeroSet)
+        self._run(case, n_paths=300)
+        # alpha = 0 on a plane leaves every tau-slice equal to the first
+        assert len(built) == slices
+
+    def test_one_slice_alive_at_a_time(self):
+        tracemalloc.start()
+        try:
+            self._run("circular", n_paths=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 20.7 MB when all 65 slices were kept alive together, 2.5 MB with one
+        assert peak < 8e6
 
 
 class TestDiffusivity:
