@@ -12,7 +12,7 @@ from .tree import (
     sample_root_votes,
 )
 from .forest import forest_root_params, ForestResult
-from .estimate import VoteEstimate, estimate_vote_probability
+from .estimate import VoteEstimate, estimate_vote_probabilities, estimate_vote_probability
 
 __all__ = [
     "Wave",
@@ -26,5 +26,6 @@ __all__ = [
     "forest_root_params",
     "ForestResult",
     "VoteEstimate",
+    "estimate_vote_probabilities",
     "estimate_vote_probability",
 ]

@@ -9,17 +9,27 @@ random stream a one-root forest equals root_vote_prob_exact on
 simulate_tree's genealogy bit for bit; averaging over trees is an
 unbiased, variance-reduced estimator of the vote probability.
 
-Leaves are valued as they are made: the forward pass calls ``leaf_prob``
-once per wave that has leaves, in wave order, and keeps one float per
-leaf rather than its position. ``leaf_prob`` must therefore be a pure
-function of the positions (it may draw no random numbers). The backward
-pass only scatters those values and combines.
+One forest serves K columns. A column is a (start, leaf function) pair.
+Every motion and dispersal is translation-invariant, so the law of a
+genealogy does not depend on its start: the forest is grown once from
+the first start, and column k reads its genealogies shifted by
+x_k - x_0. Leaves keep their positions and are valued only on the
+backward pass, where column k calls ``leaf_k(pos + (x_k - x_0))`` once
+per wave that has leaves, deepest wave first.
+
+The backward pass carries (m, C) rows, one vote parameter per vertex and
+column, and the combiner sees the C columns at once, so a per-vertex
+draw (the nonlinear voter's coalescence partition) is shared by every
+column. C is as large as keeps the widest wave's parameters within
+``PASS_BYTES``; a forest with more columns than that makes several
+passes over the stored waves, each starting from the random state that
+growth left, so every pass makes the same per-vertex draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,10 +39,14 @@ from .tree import BranchingSpec, DEFAULT_VERTEX_BUDGET, grow_waves, vote_back
 
 __all__ = ["forest_root_params", "ForestResult"]
 
+# A backward pass carries at most this many bytes of vote parameters in
+# the widest wave; wider forests split their columns into several passes.
+PASS_BYTES = 2**21
+
 
 @dataclass
 class ForestResult:
-    root_params: np.ndarray  # (n_samples,)
+    root_params: np.ndarray  # (n_samples, K): one row per tree, one column per (start, leaf function)
     total_vertices: int
     total_leaves: int
     max_depth: int
@@ -40,48 +54,74 @@ class ForestResult:
 
 def forest_root_params(
     spec: BranchingSpec,
-    x0,
+    starts,
     t: float,
-    leaf_prob: Callable[[np.ndarray], np.ndarray],
+    leaf_probs: Sequence[Callable[[np.ndarray], np.ndarray]],
     kernel: Optional[ExchangeableKernel],
     n_samples: int,
     rng: np.random.Generator,
     max_vertices: int = DEFAULT_VERTEX_BUDGET,
     combine: Optional[Callable] = None,
 ) -> ForestResult:
-    """Exact per-tree root vote parameters for an ensemble of trees.
+    """Exact per-tree root vote parameters for K columns of one ensemble.
 
-    ``leaf_prob`` must map an (m, dim) position array to m probabilities
-    in [0, 1] (NaN is rejected, values within 1e-12 outside are clipped).
-    It is called once per wave with leaves, in forward order, and must be
-    a pure function of the positions. ``combine`` replaces the kernel's
-    ``combine_params``; it receives (child_params (m, N0), the wave's
-    ``spec.decoration_fn`` rows or None, rng). Decorations reach nothing
-    else.
+    ``starts`` is a finite (K, dim) array and ``leaf_probs`` holds K
+    functions; the forest grows from ``starts[0]``. Each function must
+    map an (m, dim) position array to m probabilities in [0, 1] (NaN is
+    rejected, values within 1e-12 outside are clipped), and must be a
+    pure function of the positions: it may draw no random numbers and
+    gets them read-only. ``combine`` replaces the kernel's
+    ``combine_params``; it receives (child_params (m, N0, K), the wave's
+    ``spec.decoration_fn`` rows or None, rng) and returns (m, K) rows.
+    Decorations reach nothing else. The vertex budget is that of one
+    start, whatever K is.
     """
-    if n_samples < 1:
-        raise ArgumentError("n_samples must be positive")
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] != spec.dim or not np.isfinite(starts).all():
+        raise ArgumentError(f"starts must be a finite (K, {spec.dim}) array with K >= 1")
+    leaf_probs = list(leaf_probs)
+    if len(leaf_probs) != starts.shape[0]:
+        raise ArgumentError(f"{starts.shape[0]} starts need as many leaf functions, got {len(leaf_probs)}")
     if kernel is None and combine is None:
         raise ArgumentError("a voting kernel or a forest combiner is required")
 
-    def value_leaves(positions):
-        values = np.asarray(leaf_prob(positions), dtype=float)
-        if values.shape != (positions.shape[0],):
-            raise ArgumentError("leaf_prob must return one probability per position")
-        # NaN fails both comparisons
-        if not (values.min() >= -1e-12 and values.max() <= 1 + 1e-12):
-            raise ArgumentError("leaf probabilities must lie in [0,1]")
-        return np.clip(values, 0.0, 1.0)
-
-    waves, total, total_leaves = grow_waves(spec, x0, t, n_samples, rng, max_vertices, value_leaves)
+    waves, total, total_leaves = grow_waves(spec, starts[0], t, n_samples, rng, max_vertices)
     max_depth = len(waves) - 1
+    shifts = starts - starts[0]
+
+    def leaf_values(wave, columns):
+        positions = wave.leaves
+        positions.flags.writeable = False
+        out = np.empty((positions.shape[0], len(columns)), order="F")  # each column contiguous
+        for j, k in enumerate(columns):
+            shift = shifts[k]
+            values = np.asarray(leaf_probs[k](positions + shift if shift.any() else positions), dtype=float)
+            if values.shape != (positions.shape[0],):
+                raise ArgumentError("leaf_prob must return one probability per position")
+            # NaN fails both comparisons
+            if not (values.min() >= -1e-12 and values.max() <= 1 + 1e-12):
+                raise ArgumentError("leaf probabilities must lie in [0,1]")
+            np.clip(values, 0.0, 1.0, out=out[:, j])
+        return out
+
     if combine is None:
         combine_wave = lambda wave, child: kernel.combine_params(child)
     else:
         combine_wave = lambda wave, child: combine(child, wave.decorations, rng)
-    # popping releases each wave once the pass has moved above it
-    deepest_first = (waves.pop() for _ in range(len(waves)))
-    root_params = vote_back(deepest_first, spec.n_children, lambda wave: wave.leaves, combine_wave)
+    n_columns = starts.shape[0]
+    per_pass = max(1, min(n_columns, PASS_BYTES // (8 * max(wave.is_leaf.size for wave in waves))))
+    root_params = np.empty((n_samples, n_columns))
+    replay = rng.bit_generator.state
+    for lo in range(0, n_columns, per_pass):
+        hi = min(lo + per_pass, n_columns)
+        rng.bit_generator.state = replay  # a later pass repeats the combiner's per-vertex draws
+        if hi == n_columns:  # the last pass pops each wave once it has moved above it
+            deepest_first = (waves.pop() for _ in range(len(waves)))
+        else:
+            deepest_first = reversed(waves)
+        root_params[:, lo:hi] = vote_back(
+            deepest_first, spec.n_children, lambda wave: leaf_values(wave, range(lo, hi)), combine_wave
+        )
     return ForestResult(
         root_params=root_params,
         total_vertices=total,

@@ -8,9 +8,10 @@ and leaves die at the horizon. :func:`grow_waves` is the one forward
 loop and :func:`vote_back` the one backward pass; the forest
 (``forest.py``) and the single-genealogy functions here both use them.
 
-A single genealogy (:class:`TimeLabelledTree`) also keeps, per wave,
-birth and death times and positions at death (leaf positions are what
-the voting algorithm reads; internal positions seed the offspring
+Every wave keeps its leaves' positions, which is what the voting
+algorithm reads: leaves are valued only on the backward pass. A single
+genealogy (:class:`TimeLabelledTree`) also keeps, per wave, birth and
+death times and internal positions at death (they seed the offspring
 dispersal), never full paths. Ulam-Harris labels exist only in its JSON
 form.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -85,12 +87,11 @@ def expected_population(spec: BranchingSpec, t: float) -> float:
 class Wave:
     """One generation of the wave layout.
 
-    ``leaves`` has one row per leaf, in row order: whatever the forward
-    loop's ``value_leaves`` made of the leaf positions (a forest keeps
-    leaf_prob values, a genealogy the positions), or None when the wave
-    has no leaf. ``decorations`` has one row per internal vertex. Only a
-    genealogy keeps ``birth`` and ``death`` (one per vertex) and
-    ``at_death``, the internal vertices' positions at death.
+    ``leaves`` holds the (n_leaves, dim) leaf positions at the horizon,
+    in row order, or None when the wave has no leaf. ``decorations`` has
+    one row per internal vertex. Only a genealogy keeps ``birth`` and
+    ``death`` (one per vertex) and ``at_death``, the internal vertices'
+    positions at death.
     """
 
     is_leaf: np.ndarray
@@ -108,26 +109,29 @@ def grow_waves(
     n_roots: int,
     rng: np.random.Generator,
     max_vertices: int,
-    value_leaves: Callable[[np.ndarray], np.ndarray],
     genealogy: bool = False,
 ) -> tuple[list[Wave], int, int]:
     """Grow n_roots independent genealogies from x0 to the horizon t.
 
     Per wave, in this order, the loop draws the lifetimes, the leaves'
     motion to the horizon, the internal vertices' motion to their deaths,
-    the dispersal and the decorations. It then releases the internal rows
-    and calls ``value_leaves`` once on the wave's leaf positions.
+    the dispersal and the decorations, and keeps the leaf positions.
     ``genealogy`` also keeps birth, death and internal positions at death.
 
-    The vertex budget is refused up front when the expected vertex count
+    A start that is not a finite point of dimension ``spec.dim``, a
+    horizon that is not finite and >= 0, or a root count that is not an
+    integer >= 1 raises ArgumentError before anything is drawn. The
+    vertex budget is refused up front when the expected vertex count
     n_roots * E|N(t)| * n0/(n0 - 1) exceeds it, and during growth when the
     count does. Returns (waves, total vertices, total leaves).
     """
-    if t < 0:
-        raise ArgumentError("horizon must be nonnegative")
+    if not (isinstance(t, numbers.Real) and math.isfinite(t) and t >= 0):
+        raise ArgumentError(f"horizon must be finite and nonnegative, got {t!r}")
+    if isinstance(n_roots, bool) or not isinstance(n_roots, numbers.Integral) or n_roots < 1:
+        raise ArgumentError(f"the number of roots must be an integer >= 1, got {n_roots!r}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (spec.dim,):
-        raise ArgumentError(f"start point must have dimension {spec.dim}")
+    if x0.shape != (spec.dim,) or not np.isfinite(x0).all():
+        raise ArgumentError(f"start point must be finite, of dimension {spec.dim}")
     n0 = spec.n_children
     # total vertices of a full n0-ary family tree with L leaves: (n0 L - 1)/(n0 - 1)
     expected_total = n_roots * expected_population(spec, t) * n0 / max(n0 - 1, 1)
@@ -159,7 +163,8 @@ def grow_waves(
         leaf_rows = np.flatnonzero(is_leaf)
         internal_rows = np.flatnonzero(~is_leaf)
         if leaf_rows.size:
-            leaf_pos = spec.motion(positions.take(leaf_rows, axis=0), t - births.take(leaf_rows), rng)
+            wave.leaves = spec.motion(positions.take(leaf_rows, axis=0), t - births.take(leaf_rows), rng)
+            total_leaves += leaf_rows.size
         if internal_rows.size:
             ilife = lifetimes.take(internal_rows)
             at_death = spec.motion(positions.take(internal_rows, axis=0), ilife, rng)
@@ -170,14 +175,10 @@ def grow_waves(
                 wave.at_death = at_death
             positions = offspring.reshape(-1, spec.dim)
             births = np.repeat(births.take(internal_rows) + ilife, n0)
-            del internal_rows, ilife, at_death, offspring  # released before the leaves are valued
+            del internal_rows, ilife, at_death, offspring  # released before the next wave grows
         else:
             positions = np.empty((0, spec.dim))
             births = np.empty(0)
-        if leaf_rows.size:
-            wave.leaves = value_leaves(leaf_pos)
-            del leaf_pos
-            total_leaves += leaf_rows.size
         waves.append(wave)
     return waves, total, total_leaves
 
@@ -338,9 +339,7 @@ def simulate_tree(
     forest's forward loop on ``derive_rng(rng_seed, 0x7EE5)``, with the
     forest's vertex budget.
     """
-    waves, _, _ = grow_waves(
-        spec, x0, t, 1, derive_rng(rng_seed, 0x7EE5), max_vertices, lambda positions: positions, genealogy=True
-    )
+    waves, _, _ = grow_waves(spec, x0, t, 1, derive_rng(rng_seed, 0x7EE5), max_vertices, genealogy=True)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     return TimeLabelledTree(spec.n_children, spec.dim, t, x0.copy(), waves)
 

@@ -142,7 +142,9 @@ def check_distance_supersolution(
     suppresses it by lap_step_cells^-2. Distances are evaluated only at
     the nodes read (the band, its time neighbours and its Laplacian
     stencil) through `LazySignedDistance`, so each equals that node of
-    `signed_distance`; |D psi| is evaluated on the band only.
+    `signed_distance`; |D psi| is evaluated on the band only. Slices are
+    built in time order as the middle slice reaches them, and at most
+    three (a middle slice and its two neighbours) are alive at once.
     Sites where |D psi| vanishes inside the band are reported, not raised.
     """
     if not (math.isfinite(h0) and h0 > 0 and math.isfinite(band_r0) and band_r0 > 0):
@@ -163,8 +165,9 @@ def check_distance_supersolution(
     f_lower, _, _ = curvature_envelope_fields(phi)
     shift = f_lower - alpha
     coords = phi.coordinates()
-    psis = [ScalarField(dim, phi.origin.copy(), h, phi.values - t * shift, time_stamp=t) for t in times]
-    dists = [LazySignedDistance(psi, coords) for psi in psis]
+
+    def slice_at(t):
+        return LazySignedDistance(ScalarField(dim, phi.origin.copy(), h, phi.values - t * shift, time_stamp=t), coords)
 
     interior = np.zeros(shape, dtype=bool)
     interior[tuple(slice(margin, -margin) for _ in range(dim))] = True
@@ -179,13 +182,16 @@ def check_distance_supersolution(
     vanish: list[tuple[float, ...]] = []
     notes: list[str] = []
     max_grad = 0.0
+    window = [None, slice_at(times[0]), slice_at(times[1])]
     for i in range(1, n_times - 1):
-        mid = dists[i]
+        del window[0]  # slice i - 2 goes before slice i + 1 is built
+        window.append(slice_at(times[i + 1]))
+        mid = window[1]
         idx = interior[mid.band(band_r0, interior)]
         n_band += idx.size
         if not idx.size:
             continue
-        ddt = (dists[i + 1].at(idx) - dists[i - 1].at(idx)) / (2 * dt)
+        ddt = (window[2].at(idx) - window[0].at(idx)) / (2 * dt)
         d_mid = mid.at(idx)
         lap = np.zeros(idx.size)
         for off in offsets:

@@ -10,7 +10,9 @@ with numpy 2.4 and scipy 1.17; other versions may round differently.
 ``perfbench/spans.py`` patches dualflow's functions by module attribute,
 so a renamed or moved function would break only the traced benchmark
 runs; installing and restoring its tracer here shows that every
-attribute it patches still resolves.
+attribute it patches still resolves. The same tracer counts the forests
+the ``ternary_interface`` smoke run grows, so a return to one forest per
+point fails here.
 """
 
 import importlib.util
@@ -22,7 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
-    "ternary_interface": "3ba474770fe60061",
+    "ternary_interface": "d50a15ebf2594306",
     "nlv_coalescence": "7f9f436296703e8a",
     "curvature_pde": "d9f3b7a3adbdda35",
 }
@@ -66,3 +68,18 @@ def test_span_tracer_patches_resolve_and_restore():
     assert len(patched) >= len(spans._FUNCTIONS) + len(spans.CHECKS)
     assert all(callable(original) for _, _, original in patched)
     assert [(attr, current(owner, attr)) for owner, attr, _ in patched] == [(attr, fn) for _, attr, fn in patched]
+
+
+def test_ternary_interface_grows_one_forest_per_group(workloads):
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    cls = workloads.WORKLOADS["ternary_interface"]
+    workload = cls(ROOT, ROOT / ".perfbench-out")
+    try:
+        spans.install(tracer)
+        outcome = workload.solve(workload.setup(7, cls.sizes["smoke"], 0))
+    finally:
+        tracer.restore()
+    assert outcome.digest == PINNED_DIGESTS["ternary_interface"]
+    # formation: 1 forest; propagation: 1 per time (3); Allen-Cahn: 1 per distinct t (3)
+    assert sum(span.name == "dualtree.forest" for span in tracer.spans) == 7

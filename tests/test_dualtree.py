@@ -11,6 +11,7 @@ from dualflow.dualtree import (
     BranchingSpec,
     TimeLabelledTree,
     Wave,
+    estimate_vote_probabilities,
     estimate_vote_probability,
     forest_root_params,
     root_vote_prob_exact,
@@ -296,7 +297,7 @@ class TestForest:
         outside = lambda P: np.where(P[:, 0] > 0.0, 1 + 1e-13, -1e-13)
         exact = lambda P: np.where(P[:, 0] > 0.0, 1.0, 0.0)
         a, b = (
-            forest_root_params(bbm_spec(), [0.05], 0.1, leaf, majority_kernel(), 300, np.random.default_rng(4))
+            forest_root_params(bbm_spec(), [[0.05]], 0.1, [leaf], majority_kernel(), 300, np.random.default_rng(4))
             for leaf in (outside, exact)
         )
         assert 0.0 < a.root_params.mean() < 1.0
@@ -309,7 +310,7 @@ class TestForest:
             calls.append(P.shape[0])
             return np.full(P.shape[0], 0.5)
 
-        res = forest_root_params(bbm_spec(), [0.0], 0.1, leaf, majority_kernel(), 40, np.random.default_rng(1))
+        res = forest_root_params(bbm_spec(), [[0.0]], 0.1, [leaf], majority_kernel(), 40, np.random.default_rng(1))
         assert min(calls) > 0 and sum(calls) == res.total_leaves
         assert 1 < len(calls) <= res.max_depth + 1
 
@@ -455,9 +456,9 @@ class TestOneLayout:
         leaf = lambda pos: float(leaf_vec(pos[None, :])[0])
         for s in range(6):
             tree = simulate_tree(spec, x0, t, s)
-            res = forest_root_params(spec, x0, t, leaf_vec, kernel, 1, derive_rng(s, 0x7EE5))
+            res = forest_root_params(spec, [x0], t, [leaf_vec], kernel, 1, derive_rng(s, 0x7EE5))
             assert res.total_vertices == len(tree) and res.max_depth == len(tree.waves) - 1
-            assert root_vote_prob_exact(tree, leaf, kernel) == res.root_params[0]
+            assert root_vote_prob_exact(tree, leaf, kernel) == res.root_params[0, 0]
 
 
 class TestRegularContainment:
@@ -537,12 +538,98 @@ class TestForestBitIdentical:
     @pytest.mark.parametrize("name", sorted(_forest_cases()))
     def test_forest_digest_pinned(self, name):
         spec, x0, t, leaf_prob, kernel, n = _forest_cases()[name]
-        res = forest_root_params(spec, x0, t, leaf_prob, kernel, n, np.random.default_rng(sum(map(ord, name))))
+        res = forest_root_params(spec, [x0], t, [leaf_prob], kernel, n, np.random.default_rng(sum(map(ord, name))))
         assert _forest_digest(res) == PINNED_FORESTS[name]
 
     def test_nlv_combine_digest_pinned(self):
         bundle = nonlinear_voter_dual(0.5, 2, dim=3, gbar_samples=200, **NLV_RATES)
         leaf = lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0)
         rng = np.random.default_rng(2024)
-        res = forest_root_params(bundle.spec, [0.0, 0.0, 0.0], 0.2, leaf, None, 60, rng, combine=bundle.combine)
+        res = forest_root_params(bundle.spec, [[0.0, 0.0, 0.0]], 0.2, [leaf], None, 60, rng, combine=bundle.combine)
         assert _forest_digest(res) == PINNED_FORESTS["nonlinear_voter_dual_combine"]
+
+
+class TestForestColumns:
+    """One forest grown from the first start serves every (start, leaf
+    function) column; column k reads its genealogies shifted by x_k - x_0."""
+
+    @staticmethod
+    def _columns():
+        circle = field_from_function(
+            lambda P: np.sum(P**2, axis=1) - 0.64, origin=[-1.5, -1.5], spacing=3 / 63, extents=[64, 64]
+        )
+        leaf = plus_phase_profile(circle, 0.05, 0.0, 1.0)
+        return ternary_bbm(0.2, 2), [[0.75, 0.2], [0.8, 0.0], [0.0, 0.9], [0.75, 0.2]], leaf
+
+    def test_column_zero_is_the_one_column_forest(self):
+        bundle, starts, leaf = self._columns()
+        smooth = lambda P: np.clip(0.5 + P[:, 0] - 0.3 * P[:, 1], 0.0, 1.0)
+        leaves = [leaf, leaf, leaf, smooth]
+        many = estimate_vote_probabilities(bundle.spec, bundle.kernel, starts, 0.08, leaves, 300, 11)
+        one = estimate_vote_probability(bundle.spec, bundle.kernel, starts[0], 0.08, leaf, 300, 11)
+        assert (many[0].value, many[0].stderr) == (one.value, one.stderr)
+        assert many[0] == one
+        # a column at the first start reads the same genealogies unshifted
+        alone = estimate_vote_probability(bundle.spec, bundle.kernel, starts[0], 0.08, smooth, 300, 11)
+        assert (many[3].value, many[3].stderr) == (alone.value, alone.stderr)
+
+    def test_later_columns_agree_with_their_own_forests(self):
+        bundle, starts, leaf = self._columns()
+        many = estimate_vote_probabilities(bundle.spec, bundle.kernel, starts, 0.08, [leaf] * 4, 1500, 12)
+        for k in range(1, 4):
+            own = estimate_vote_probability(bundle.spec, bundle.kernel, starts[k], 0.08, leaf, 1500, 100 + k)
+            assert many[k].n_samples == own.n_samples and tuple(starts[k]) == many[k].x
+            assert abs(many[k].value - own.value) <= 4 * math.hypot(many[k].stderr, own.stderr)
+
+    def test_pass_split_changes_no_column(self, monkeypatch):
+        import dualflow.dualtree.forest as forest
+
+        bundle, starts, leaf = self._columns()
+        whole = forest_root_params(bundle.spec, starts, 0.08, [leaf] * 4, bundle.kernel, 200, derive_rng(3, 1))
+        monkeypatch.setattr(forest, "PASS_BYTES", 1)  # one column per pass
+        split = forest_root_params(bundle.spec, starts, 0.08, [leaf] * 4, bundle.kernel, 200, derive_rng(3, 1))
+        assert split.root_params.tobytes() == whole.root_params.tobytes()
+
+    def test_nlv_columns_share_the_partitions(self, monkeypatch):
+        import dualflow.dualtree.forest as forest
+
+        bundle = nonlinear_voter_dual(0.5, 2, dim=3, gbar_samples=200, **NLV_RATES)
+        low = lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0)
+        high = lambda P: np.clip(0.6 + 20.0 * P[:, 0], 0.0, 1.0)
+        starts = [[0.0, 0.0, 0.0]] * 2
+        run = lambda: forest_root_params(bundle.spec, starts, 0.2, [low, high], None, 30, derive_rng(4, 1), combine=bundle.combine)
+        res = run()
+        one = forest_root_params(bundle.spec, starts[:1], 0.2, [low], None, 30, derive_rng(4, 1), combine=bundle.combine)
+        assert res.root_params[:, 0].tobytes() == one.root_params[:, 0].tobytes()
+        # the combiner's partitions are shared, so the order holds tree by tree
+        assert np.all(res.root_params[:, 0] <= res.root_params[:, 1])
+        assert np.any(res.root_params[:, 0] < res.root_params[:, 1])
+        monkeypatch.setattr(forest, "PASS_BYTES", 1)  # every pass repeats the draws
+        assert run().root_params.tobytes() == res.root_params.tobytes()
+
+    @pytest.mark.parametrize(
+        "x, t, n",
+        [
+            ([math.nan, 0.0], 0.05, 50),
+            ([math.inf, 0.0], 0.05, 50),
+            ([0.0], 0.05, 50),
+            ([0.0, 0.0], math.nan, 50),
+            ([0.0, 0.0], math.inf, 50),
+            ([0.0, 0.0], -0.1, 50),
+            ([0.0, 0.0], 0.05, 50.5),
+            ([0.0, 0.0], 0.05, 0),
+            ([0.0, 0.0], 0.05, True),
+        ],
+    )
+    def test_bad_input_rejected_before_growth(self, x, t, n):
+        bundle = ternary_bbm(0.2, 2)
+        leaf = lambda P: np.full(P.shape[0], 0.5)
+        with pytest.raises(ArgumentError):
+            estimate_vote_probability(bundle.spec, bundle.kernel, x, t, leaf, n, 1)
+
+    def test_columns_need_one_leaf_function_each(self):
+        bundle, starts, leaf = self._columns()
+        with pytest.raises(ArgumentError, match="leaf functions"):
+            estimate_vote_probabilities(bundle.spec, bundle.kernel, starts, 0.08, [leaf], 10, 1)
+        with pytest.raises(ArgumentError, match="starts"):
+            estimate_vote_probabilities(bundle.spec, bundle.kernel, [[0.0, 0.0], [math.nan, 0.0]], 0.08, [leaf] * 2, 10, 1)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -568,6 +569,21 @@ class TestSupersolution:
         args = {"alpha": 0.5, "h0": 0.1, "band_r0": 0.3, **kwargs}
         with pytest.raises(ArgumentError):
             check_distance_supersolution(f, **args)
+
+    @pytest.mark.parametrize("n_times", [9, 33])
+    def test_three_slices_alive_at_a_time(self, n_times):
+        # the benchmark's 128^2 circle; with every slice alive together the
+        # peak was 6.0 MB at 9 slices and 13.6 MB at 33, with three 4.1-4.2 MB
+        f = circle_field(n=128, half=2.0)
+        check_distance_supersolution(circle_field(n=32), alpha=1.0, h0=0.05, band_r0=0.2)  # imports, untraced
+        tracemalloc.start()
+        try:
+            rep = check_distance_supersolution(f, alpha=1.0, h0=0.05, band_r0=0.2, n_times=n_times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.min_residual > 0.0
+        assert peak < 5e6
 
 
 PINNED_REACTION = {

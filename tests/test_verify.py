@@ -29,6 +29,8 @@ from dualflow.verify import (
     plus_phase_profile,
 )
 
+from conftest import NLV_RATES
+
 
 def circle_phi(half=3.0, n=128, r2=1.0):
     return field_from_function(
@@ -89,6 +91,36 @@ class TestPhaseProfileTable:
             got = profile(points)
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_pass_and_table_branches_agree(self, monkeypatch, dim):
+        # a call whose points lie mostly in mixed cells interpolates them
+        # all in one pass; any other call reads the table first
+        phi = _sign_case_field(dim)
+        rng = np.random.default_rng(20 + dim)
+        h, shape = phi.spacing, np.array(phi.values.shape)
+        points = rng.uniform(phi.origin - h, phi.origin + h * shape, size=(600, dim))
+        sizes = []
+        interp_cells = phi.interp_cells
+        monkeypatch.setattr(phi, "interp_cells", lambda flat, fr: sizes.append(flat.size) or interp_cells(flat, fr))
+        for profile in (plus_phase_profile(phi, 0.05, 0.1, 0.9), minus_phase_profile(phi, 0.05, 0.1, 0.9)):
+            alone, mixed = [], []
+            for x in points:  # a point alone is interpolated only in a mixed cell
+                before = len(sizes)
+                alone.append(profile(x[None, :]))
+                mixed.append(len(sizes) > before)
+            alone, mixed = np.concatenate(alone), np.array(mixed)
+            n_mixed, n_known = int(mixed.sum()), int((~mixed).sum())
+            assert n_mixed > 10 and n_known > 10
+            few = min(n_mixed, n_known) // 2
+            mostly_mixed = np.concatenate([np.flatnonzero(mixed), np.flatnonzero(~mixed)[:few]])
+            mostly_known = np.concatenate([np.flatnonzero(~mixed), np.flatnonzero(mixed)[:few]])
+            for rows, interpolated in ((mostly_mixed, mostly_mixed.size), (mostly_known, few)):
+                rows = rng.permutation(rows)
+                sizes.clear()
+                assert profile(points[rows]).tobytes() == alone[rows].tobytes()
+                assert sizes == [interpolated]
 
 
 class TestSemigroup:
@@ -496,3 +528,111 @@ class TestDeepPhaseVsOneDim:
         assert est.value >= 0.95
         one_d = bbm1d_vote_prob(depth, 0.05, 0.2, b.kernel, 3000, 7)
         assert abs(est.value - one_d.value) <= 4 * (est.stderr + one_d.stderr) + 1e-9
+
+
+def _small_disk_p0():
+    return field_from_function(
+        lambda P: np.where(np.linalg.norm(P, axis=1) < 0.3, 0.0, 1.0),
+        origin=[-1.2, -1.2], spacing=2.4 / 127, extents=[128, 128],
+    )
+
+
+def _grouped_runs():
+    """(check call, the seed of each forest call in order) per rewired
+    check: one forest per (t, epsilon), seeded as its first point was."""
+    bbm1, bbm2, mk = ternary_bbm(0.25, 1), ternary_bbm(0.2, 2), lambda e: ternary_bbm(e, 2)
+    p0 = field_from_function(lambda P: (P[:, 0] >= 0).astype(float), origin=[-3.0], spacing=6 / 599, extents=[600])
+    lo, hi = step_profile(), (lambda P: (P[:, 0] >= -0.3).astype(float))
+    return {
+        "monotonicity": (
+            lambda: check_monotonicity(bbm1, lo, hi, [[0.0], [0.2]], 0.05, 500, 3),
+            [3 + 104729, 3 + 2 * 104729],
+        ),
+        "monotonicity_nlv": (
+            lambda: check_monotonicity(
+                nonlinear_voter_dual(0.5, 2, dim=3, gbar_samples=200, **NLV_RATES),
+                lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0),
+                lambda P: np.clip(0.6 + 20.0 * P[:, 0], 0.0, 1.0),
+                [[0.0, 0.0, 0.0]], 0.2, 60, 4,
+            ),
+            [4 + 104729],
+        ),
+        "flow_consistency": (
+            lambda: check_flow_consistency(
+                mk, circle_phi(), alpha=1.0, delta=0.05, h=0.05, epsilon_list=[0.3, 0.2], n_samples=300, rng_seed=5
+            ),
+            [5 + 613, 5 + 2 * 613],
+        ),
+        "interface_formation": (
+            lambda: check_interface_formation(bbm2, circle_phi(), delta=0.05, epsilon=0.2, n_samples=400, rng_seed=5),
+            [5 + 211],
+        ),
+        "propagation_vs_1d": (
+            lambda: check_propagation_vs_1d(
+                bbm2, circle_phi(), alpha=1.0, delta=0.05, epsilon=0.2, time_grid=[0.08, 0.12], n_samples=200, rng_seed=5
+            ),
+            [5 + 4013, 5 + 2 * 4013],
+        ),
+        "mcf_duality": (
+            lambda: check_mcf_duality(
+                mk, _small_disk_p0(), T_list=[0.05], epsilon_list=[0.3, 0.2],
+                sample_points=[[0.0, 0.05], [0.8, 0.0], [0.6, 0.6]], n_samples=300, rng_seed=9, margin=0.08,
+            ),
+            # the first point sits inside the margin, so the group starts at the second
+            [9 + 89 + 7, 9 + 2 * 89 + 7],
+        ),
+        "allen_cahn_duality": (
+            lambda: check_allen_cahn_duality(
+                bbm1, p0, [(0.05, [0.0]), (0.1, [-0.2]), (0.05, [0.3]), (0.1, [0.5])], n_samples=3000, rng_seed=12
+            ),
+            [12 + 37, 12 + 2 * 37],
+        ),
+    }
+
+
+class TestOneForestPerGroup:
+    """Each rewired check grows one forest per (t, epsilon) group. Column 0
+    of a group is the single-start estimate on the group's seed, bit for
+    bit; a later column is a correlated estimate with its own marginal law."""
+
+    @pytest.mark.parametrize("name", sorted(_grouped_runs()))
+    def test_columns_against_single_start_estimates(self, monkeypatch, name):
+        import dualflow.verify.checks as checks
+
+        calls = []
+        grouped = checks.bundle_estimates
+
+        def spy(bundle, xs, t, ps, n_samples, rng_seed, **kwargs):
+            out = grouped(bundle, xs, t, ps, n_samples, rng_seed, **kwargs)
+            calls.append((bundle, xs, t, ps, n_samples, rng_seed, out))
+            return out
+
+        monkeypatch.setattr(checks, "bundle_estimates", spy)
+        run, seeds = _grouped_runs()[name]
+        assert run().passed
+        assert [call[5] for call in calls] == seeds
+        for bundle, xs, t, ps, n, seed, out in calls:
+            single = checks.bundle_estimate(bundle, xs[0], t, ps[0], n, seed)
+            assert (out[0].value, out[0].stderr) == (single.value, single.stderr)
+            for k in range(1, len(xs)):
+                if np.array_equal(xs[k], xs[0]):  # the same genealogies, unshifted
+                    same = checks.bundle_estimate(bundle, xs[k], t, ps[k], n, seed)
+                    assert (out[k].value, out[k].stderr) == (same.value, same.stderr)
+                    continue
+                own = checks.bundle_estimate(bundle, xs[k], t, ps[k], n, seed + 1_000_003)
+                assert abs(out[k].value - own.value) <= 4 * math.hypot(out[k].stderr, own.stderr)
+
+    def test_propagation_memory_at_bench_size(self, bbm2):
+        # the benchmark's call: three forests of eight columns, 300 trees
+        kwargs = dict(alpha=1.0, delta=0.05, epsilon=0.2, time_grid=[0.08, 0.12, 0.16], n_samples=300, rng_seed=5)
+        check_propagation_vs_1d(bbm2, circle_phi(), **{**kwargs, "n_samples": 2})  # imports, untraced
+        tracemalloc.start()
+        try:
+            rep = check_propagation_vs_1d(bbm2, circle_phi(), **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.budget["n_comparisons"] == 24
+        # 17.9 MB with one forest per point, 44 MB with every column in one
+        # pass, 25.9 MB with passes bounded by PASS_BYTES
+        assert peak <= 36e6
