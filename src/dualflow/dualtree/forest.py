@@ -17,13 +17,12 @@ x_k - x_0. Leaves keep their positions and are valued only on the
 backward pass, where column k calls ``leaf_k(pos + (x_k - x_0))`` once
 per wave that has leaves, deepest wave first.
 
-The backward pass carries (m, C) rows, one vote parameter per vertex and
-column, and the combiner sees the C columns at once, so a per-vertex
-draw (the nonlinear voter's coalescence partition) is shared by every
-column. C is as large as keeps the widest wave's parameters within
-``PASS_BYTES``; a forest with more columns than that makes several
-passes over the stored waves, each starting from the random state that
-growth left, so every pass makes the same per-vertex draws.
+Each column has its own backward pass over the stored waves, and each
+pass starts from the random state that growth left, so every pass makes
+the same per-vertex draws: the nonlinear voter's coalescence partition
+of a vertex is the same for every column. Column 0 is therefore bit for
+bit the one-column forest, and column k the one-column forest whose
+leaf function is shifted by x_k - x_0.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ from ..gfunction.kernels import ExchangeableKernel
 from .tree import BranchingSpec, DEFAULT_VERTEX_BUDGET, grow_waves, vote_back
 
 __all__ = ["forest_root_params", "ForestResult"]
-
-# A backward pass carries at most this many bytes of vote parameters in
-# the widest wave; wider forests split their columns into several passes.
-PASS_BYTES = 2**21
 
 
 @dataclass
@@ -71,8 +66,8 @@ def forest_root_params(
     rejected, values within 1e-12 outside are clipped), and must be a
     pure function of the positions: it may draw no random numbers and
     gets them read-only. ``combine`` replaces the kernel's
-    ``combine_params``; it receives (child_params (m, N0, K), the wave's
-    ``spec.decoration_fn`` rows or None, rng) and returns (m, K) rows.
+    ``combine_params``; it receives (child_params (m, N0), the wave's
+    ``spec.decoration_fn`` rows or None, rng) and returns m parameters.
     Decorations reach nothing else. The vertex budget is that of one
     start, whatever K is.
     """
@@ -89,39 +84,31 @@ def forest_root_params(
     max_depth = len(waves) - 1
     shifts = starts - starts[0]
 
-    def leaf_values(wave, columns):
+    def leaf_values(wave, k):
         positions = wave.leaves
         positions.flags.writeable = False
-        out = np.empty((positions.shape[0], len(columns)), order="F")  # each column contiguous
-        for j, k in enumerate(columns):
-            shift = shifts[k]
-            values = np.asarray(leaf_probs[k](positions + shift if shift.any() else positions), dtype=float)
-            if values.shape != (positions.shape[0],):
-                raise ArgumentError("leaf_prob must return one probability per position")
-            # NaN fails both comparisons
-            if not (values.min() >= -1e-12 and values.max() <= 1 + 1e-12):
-                raise ArgumentError("leaf probabilities must lie in [0,1]")
-            np.clip(values, 0.0, 1.0, out=out[:, j])
-        return out
+        values = np.asarray(leaf_probs[k](positions + shifts[k] if shifts[k].any() else positions), dtype=float)
+        if values.shape != (positions.shape[0],):
+            raise ArgumentError("leaf_prob must return one probability per position")
+        # NaN fails both comparisons
+        if not (values.min() >= -1e-12 and values.max() <= 1 + 1e-12):
+            raise ArgumentError("leaf probabilities must lie in [0,1]")
+        return np.clip(values, 0.0, 1.0)
 
     if combine is None:
         combine_wave = lambda wave, child: kernel.combine_params(child)
     else:
         combine_wave = lambda wave, child: combine(child, wave.decorations, rng)
     n_columns = starts.shape[0]
-    per_pass = max(1, min(n_columns, PASS_BYTES // (8 * max(wave.is_leaf.size for wave in waves))))
-    root_params = np.empty((n_samples, n_columns))
+    root_params = np.empty((n_samples, n_columns), order="F")  # each column contiguous
     replay = rng.bit_generator.state
-    for lo in range(0, n_columns, per_pass):
-        hi = min(lo + per_pass, n_columns)
-        rng.bit_generator.state = replay  # a later pass repeats the combiner's per-vertex draws
-        if hi == n_columns:  # the last pass pops each wave once it has moved above it
+    for k in range(n_columns):
+        rng.bit_generator.state = replay  # every pass makes the same per-vertex draws
+        if k == n_columns - 1:  # the last pass pops each wave once it has moved above it
             deepest_first = (waves.pop() for _ in range(len(waves)))
         else:
             deepest_first = reversed(waves)
-        root_params[:, lo:hi] = vote_back(
-            deepest_first, spec.n_children, lambda wave: leaf_values(wave, range(lo, hi)), combine_wave
-        )
+        root_params[:, k] = vote_back(deepest_first, spec.n_children, lambda wave: leaf_values(wave, k), combine_wave)
     return ForestResult(
         root_params=root_params,
         total_vertices=total,

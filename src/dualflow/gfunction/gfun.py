@@ -126,28 +126,24 @@ class GFunction:
         return P.polyval(np.clip(p, 0.0, 1.0), self.coeffs)
 
     def combine_params(self, child_params: np.ndarray) -> np.ndarray:
-        """Row-wise multivariate evaluation of an (m, n_children, ...)
-        array; trailing axes (one per forest column) pass through.
+        """Row-wise multivariate evaluation of an (m, n_children) matrix.
 
         Rows with equal entries go through the polynomial, so a constant
         passes up a genealogy exactly as :func:`iterate_g` composes g.
-        The other rows go to the multivariate form as one (r, n_children)
-        matrix.
         """
         if self._multivariate is None:
             raise ArgumentError(f"{self!r}: the multivariate form was not serialised or does not match g")
         child_params = np.asarray(child_params, dtype=float)
-        if child_params.ndim < 2 or child_params.shape[1] != self.n_children:
+        if child_params.ndim != 2 or child_params.shape[1] != self.n_children:
             raise ArgumentError(f"expected {self.n_children} probabilities per row, got shape {child_params.shape}")
         if np.any(child_params < 0.0) or np.any(child_params > 1.0):
             raise ArgumentError("probabilities must lie in [0,1]")
-        rows = np.moveaxis(child_params, 1, -1)  # (m, ..., n_children)
-        constant = np.all(rows == rows[..., :1], axis=-1)
-        out = np.empty(constant.shape)
+        constant = np.all(child_params == child_params[:, :1], axis=1)
+        out = np.empty(child_params.shape[0])
         if constant.any():
-            out[constant] = self(rows[constant][:, 0])
+            out[constant] = self(child_params[constant, 0])
         if not constant.all():
-            out[~constant] = self._multivariate(rows[~constant])
+            out[~constant] = self._multivariate(child_params[~constant])
         return out
 
     def __repr__(self):

@@ -54,26 +54,18 @@ class ExchangeableKernel:
         return self.levels[votes.sum(axis=1)]
 
     def combine_params(self, child_params: np.ndarray) -> np.ndarray:
-        """Vectorized parent parameters from (m, n_children) child
-        parameters, or from (m, n_children, K) ones, one column per forest
-        column, to (m, K).
+        """Vectorized parent parameters from (m, n_children) child parameters.
 
         Computes, row by row, the expectation of theta over independent
         Bernoulli votes with the given parameters, by exact enumeration
         of the vote vectors; requires n_children <= 16. The terms are
         added in pattern order from zeros. Patterns with theta = 0 are
         skipped, which is exact: with finite weights each would add 0.
-        Columns are combined one at a time, from contiguous copies.
         """
         child_params = np.asarray(child_params, dtype=float)
-        if child_params.ndim not in (2, 3) or child_params.shape[1] != self.n_children:
-            raise ArgumentError(f"expected {self.n_children} children, got shape {child_params.shape}")
-        if child_params.ndim == 3:
-            out = np.empty(child_params.shape[::2], order="F")  # each column contiguous
-            for k in range(out.shape[1]):
-                out[:, k] = self.combine_params(child_params[:, :, k])
-            return out
         m, n = child_params.shape
+        if n != self.n_children:
+            raise ArgumentError(f"expected {self.n_children} children, got {n}")
         cols = list(np.ascontiguousarray(child_params.T))
         factors = ([1.0 - c for c in cols], cols)  # factors[vote][child]
         out = np.zeros(m)

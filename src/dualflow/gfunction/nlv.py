@@ -200,9 +200,8 @@ def g_pi_batch(
     a3: float,
     a4: float,
 ) -> np.ndarray:
-    """E[Theta_pi(V_1..V_5)] row-wise, for an (m, 5, ...) array of
-    independent Bernoulli vote probabilities; trailing axes (one per
-    forest column) pass through.
+    """E[Theta_pi(V_1..V_5)] row-wise, for an (m, 5) matrix of
+    independent Bernoulli vote probabilities.
 
     Exact enumeration over the marked representatives' votes: members of
     a block contribute through their representative only, so 2**n_blocks
@@ -210,17 +209,16 @@ def g_pi_batch(
     term, to the raw kernel's ``combine_params``.
     """
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim < 2 or probs.shape[1] != partition.n:
+    if probs.ndim != 2 or probs.shape[1] != partition.n:
         raise ArgumentError(f"expected rows of {partition.n} probabilities, got shape {probs.shape}")
     if np.any(probs < 0) or np.any(probs > 1):
         raise ArgumentError("probabilities must lie in [0,1]")
     levels = np.array([0.0, a1, a2, a3, a4, 1.0])
     blocks, marks = partition.blocks, partition.marks
     nb = len(blocks)
-    row_shape = probs.shape[:1] + probs.shape[2:]
-    out = np.zeros(row_shape)
+    out = np.zeros(probs.shape[0])
     for pattern in range(2**nb):
-        weight = np.ones(row_shape)
+        weight = np.ones(probs.shape[0])
         k = 0
         for j in range(nb):
             w = (pattern >> j) & 1

@@ -50,10 +50,9 @@ class ModelBundle:
     """One dual model: spec, voting rule, g and equilibria.
 
     A bundle whose ``kernel`` is None votes only through ``combine``, the
-    forest combiner ``combine(child_params, decorations, rng)`` that maps
-    (m, n_children, K) rows to (m, K) and reads the per-event decorations
-    of ``spec.decoration_fn``; no voting kernel or g-function ever sees a
-    decoration.
+    forest combiner ``combine(child_params, decorations, rng)`` that reads
+    the per-event decorations of ``spec.decoration_fn``; no voting kernel
+    or g-function ever sees a decoration.
     """
 
     spec: BranchingSpec
@@ -404,13 +403,12 @@ def nonlinear_voter_dual(
         return np.rint((offspring - parents[:, None, :]) / mesh).astype(np.int64)
 
     def combine(child_params: np.ndarray, xi: np.ndarray, rng: np.random.Generator):
-        """Batched forest combiner on (m, 5, K) rows: one coalescing
-        realization per vertex, shared by the K columns."""
+        """Batched forest combiner: one coalescing realization per vertex."""
         m = child_params.shape[0]
         rep, _, _ = sample_coalescent_partitions(
             xi, dim, coalescence_horizon, float(dim), m, rng
         )
-        out = np.empty((m,) + child_params.shape[2:])
+        out = np.empty(m)
         groups: dict[MarkedPartition, list[int]] = {}
         for i in range(m):
             part = _labels_to_partition(rep[i], rng)

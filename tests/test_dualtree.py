@@ -581,31 +581,29 @@ class TestForestColumns:
             assert many[k].n_samples == own.n_samples and tuple(starts[k]) == many[k].x
             assert abs(many[k].value - own.value) <= 4 * math.hypot(many[k].stderr, own.stderr)
 
-    def test_pass_split_changes_no_column(self, monkeypatch):
-        import dualflow.dualtree.forest as forest
-
+    def test_each_column_is_the_shifted_one_column_forest(self):
+        # every column's backward pass starts from the state growth left
         bundle, starts, leaf = self._columns()
-        whole = forest_root_params(bundle.spec, starts, 0.08, [leaf] * 4, bundle.kernel, 200, derive_rng(3, 1))
-        monkeypatch.setattr(forest, "PASS_BYTES", 1)  # one column per pass
-        split = forest_root_params(bundle.spec, starts, 0.08, [leaf] * 4, bundle.kernel, 200, derive_rng(3, 1))
-        assert split.root_params.tobytes() == whole.root_params.tobytes()
+        many = forest_root_params(bundle.spec, starts, 0.08, [leaf] * 4, bundle.kernel, 200, derive_rng(3, 1))
+        for k in range(4):
+            shift = np.subtract(starts[k], starts[0])
+            one = forest_root_params(
+                bundle.spec, starts[:1], 0.08, [lambda P: leaf(P + shift)], bundle.kernel, 200, derive_rng(3, 1)
+            )
+            assert many.root_params[:, k].tobytes() == one.root_params[:, 0].tobytes()
 
-    def test_nlv_columns_share_the_partitions(self, monkeypatch):
-        import dualflow.dualtree.forest as forest
-
+    def test_nlv_columns_share_the_partitions(self):
         bundle = nonlinear_voter_dual(0.5, 2, dim=3, gbar_samples=200, **NLV_RATES)
         low = lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0)
         high = lambda P: np.clip(0.6 + 20.0 * P[:, 0], 0.0, 1.0)
         starts = [[0.0, 0.0, 0.0]] * 2
-        run = lambda: forest_root_params(bundle.spec, starts, 0.2, [low, high], None, 30, derive_rng(4, 1), combine=bundle.combine)
-        res = run()
-        one = forest_root_params(bundle.spec, starts[:1], 0.2, [low], None, 30, derive_rng(4, 1), combine=bundle.combine)
-        assert res.root_params[:, 0].tobytes() == one.root_params[:, 0].tobytes()
+        res = forest_root_params(bundle.spec, starts, 0.2, [low, high], None, 30, derive_rng(4, 1), combine=bundle.combine)
+        for k, leaf in enumerate([low, high]):
+            one = forest_root_params(bundle.spec, starts[:1], 0.2, [leaf], None, 30, derive_rng(4, 1), combine=bundle.combine)
+            assert res.root_params[:, k].tobytes() == one.root_params[:, 0].tobytes()
         # the combiner's partitions are shared, so the order holds tree by tree
         assert np.all(res.root_params[:, 0] <= res.root_params[:, 1])
         assert np.any(res.root_params[:, 0] < res.root_params[:, 1])
-        monkeypatch.setattr(forest, "PASS_BYTES", 1)  # every pass repeats the draws
-        assert run().root_params.tobytes() == res.root_params.tobytes()
 
     @pytest.mark.parametrize(
         "x, t, n",

@@ -633,6 +633,5 @@ class TestOneForestPerGroup:
         finally:
             tracemalloc.stop()
         assert rep.passed and rep.budget["n_comparisons"] == 24
-        # 17.9 MB with one forest per point, 44 MB with every column in one
-        # pass, 25.9 MB with passes bounded by PASS_BYTES
+        # 17.9 MB with one forest per point, 25.1 MB with one pass per column
         assert peak <= 36e6
