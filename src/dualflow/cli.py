@@ -19,6 +19,7 @@ byte-identical apart from timing fields.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -86,6 +87,10 @@ def load_config(path: str | Path) -> dict:
             raise ConfigError(
                 f"unknown check {chk.get('name')!r}; choices: {sorted(CHECK_RUNNERS)}"
             )
+        params = chk.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"params of check #{i} must be an object")
+        _reject_unknown(params, _check_params(chk["name"]), f"params of check #{i} ({chk['name']})")
     return cfg
 
 
@@ -122,20 +127,17 @@ def _bundle_factory(model_cfg: dict) -> Callable[[float], ModelBundle]:
 
 
 # ----- configured check runners -----
+#
+# A runner takes (cfg, bundle, seed) and then its check's params as keyword
+# arguments; its signature is the list of params a config may set, with
+# their defaults.
 
 
-def _run_equilibria(cfg, bundle, params, seed) -> CheckReport:
-    return checklib.check_equilibria(
-        bundle,
-        points=params.get("points", [[0.0] * bundle.spec.dim]),
-        t=params.get("t", 0.05),
-        n_samples=params.get("n_samples", 200),
-        rng_seed=seed,
-    )
+def _run_equilibria(cfg, bundle, seed, t=0.05, n_samples=200) -> CheckReport:
+    return checklib.check_equilibria(bundle, t=t, n_samples=n_samples, rng_seed=seed)
 
 
-def _run_monotonicity(cfg, bundle, params, seed) -> CheckReport:
-    shift = params.get("shift", 0.2)
+def _run_monotonicity(cfg, bundle, seed, shift=0.2, points=None, t=0.05, n_samples=400) -> CheckReport:
     lo = step_profile(bundle.a, bundle.b)
 
     def hi(points):
@@ -146,120 +148,126 @@ def _run_monotonicity(cfg, bundle, params, seed) -> CheckReport:
         bundle,
         lo,
         hi,
-        points=params.get("points", [[0.0] * bundle.spec.dim]),
-        t=params.get("t", 0.05),
-        n_samples=params.get("n_samples", 400),
+        points=points if points is not None else [[0.0] * bundle.spec.dim],
+        t=t,
+        n_samples=n_samples,
         rng_seed=seed,
     )
 
 
-def _run_semigroup(cfg, bundle, params, seed) -> CheckReport:
-    span = params.get("grid_span", 1.5)
-    n_grid = params.get("grid_points", 61)
+def _run_semigroup(
+    cfg, bundle, seed, grid_span=1.5, grid_points=61, x=(0.0,), t=0.02, h=0.02, n_outer=20000, n_inner=4000
+) -> CheckReport:
     return checklib.check_semigroup(
         bundle,
-        params.get("x", [0.0]),
-        t=params.get("t", 0.02),
-        h=params.get("h", 0.02),
+        x,
+        t=t,
+        h=h,
         p=step_profile(bundle.a, bundle.b),
-        spatial_grid=np.linspace(-span, span, n_grid),
-        n_outer=params.get("n_outer", 20000),
-        n_inner=params.get("n_inner", 4000),
+        spatial_grid=np.linspace(-grid_span, grid_span, grid_points),
+        n_outer=n_outer,
+        n_inner=n_inner,
         rng_seed=seed,
     )
 
 
-def _run_diffusivity(cfg, bundle, params, seed) -> CheckReport:
+def _run_diffusivity(
+    cfg, bundle, seed, s_list=(0.05, 0.1, 0.2), n_samples=40000, target_slope=1.0, check_gaussianity=True
+) -> CheckReport:
     return checklib.check_diffusivity(
         bundle.spec,
-        s_list=params.get("s_list", [0.05, 0.1, 0.2]),
-        n_samples=params.get("n_samples", 40000),
+        s_list=s_list,
+        n_samples=n_samples,
         rng_seed=seed,
-        target_slope=params.get("target_slope", 1.0),
-        check_gaussianity=params.get("check_gaussianity", True),
+        target_slope=target_slope,
+        check_gaussianity=check_gaussianity,
     )
 
 
-def _run_interface_formation(cfg, bundle, params, seed) -> CheckReport:
-    phi = _phi_field(cfg.get("grid", {}), params.get("phi", "circle"), bundle.spec.dim)
+def _run_interface_formation(
+    cfg, bundle, seed, phi="circle", delta=0.05, n_samples=3000, K=2.0, sigma1=1.0, tolerance=0.02
+) -> CheckReport:
     return checklib.check_interface_formation(
         bundle,
-        phi,
-        delta=params.get("delta", 0.05),
+        _phi_field(cfg.get("grid", {}), phi, bundle.spec.dim),
+        delta=delta,
         epsilon=bundle.spec.epsilon,
-        n_samples=params.get("n_samples", 3000),
+        n_samples=n_samples,
         rng_seed=seed,
-        K=params.get("K", 2.0),
-        sigma1=params.get("sigma1", 1.0),
-        tolerance=params.get("tolerance", 0.02),
+        K=K,
+        sigma1=sigma1,
+        tolerance=tolerance,
     )
 
 
-def _run_flow_consistency(cfg, bundle, params, seed) -> CheckReport:
-    phi = _phi_field(cfg.get("grid", {}), params.get("phi", "circle"), bundle.spec.dim)
+def _run_flow_consistency(
+    cfg, bundle, seed, phi="circle", alpha=1.0, delta=0.05, h=0.05, epsilon_list=(0.3, 0.2, 0.15),
+    n_samples=1500, variant="plus",
+) -> CheckReport:
     return checklib.check_flow_consistency(
         _bundle_factory(cfg["model"]),
-        phi,
-        alpha=params.get("alpha", 1.0),
-        delta=params.get("delta", 0.05),
-        h=params.get("h", 0.05),
-        epsilon_list=params.get("epsilon_list", [0.3, 0.2, 0.15]),
-        n_samples=params.get("n_samples", 1500),
+        _phi_field(cfg.get("grid", {}), phi, bundle.spec.dim),
+        alpha=alpha,
+        delta=delta,
+        h=h,
+        epsilon_list=epsilon_list,
+        n_samples=n_samples,
         rng_seed=seed,
-        variant=params.get("variant", "plus"),
+        variant=variant,
     )
 
 
-def _run_propagation(cfg, bundle, params, seed) -> CheckReport:
-    phi = _phi_field(cfg.get("grid", {}), params.get("phi", "circle"), bundle.spec.dim)
+def _run_propagation(
+    cfg, bundle, seed, phi="circle", alpha=1.0, delta=0.05, time_grid=(0.08, 0.12, 0.16), n_samples=600
+) -> CheckReport:
     return checklib.check_propagation_vs_1d(
         bundle,
-        phi,
-        alpha=params.get("alpha", 1.0),
-        delta=params.get("delta", 0.05),
+        _phi_field(cfg.get("grid", {}), phi, bundle.spec.dim),
+        alpha=alpha,
+        delta=delta,
         epsilon=bundle.spec.epsilon,
-        time_grid=params.get("time_grid", [0.08, 0.12, 0.16]),
-        n_samples=params.get("n_samples", 600),
+        time_grid=time_grid,
+        n_samples=n_samples,
         rng_seed=seed,
     )
 
 
-def _run_ito_drift(cfg, bundle, params, seed) -> CheckReport:
+def _run_ito_drift(
+    cfg, bundle, seed, phi="plane", alpha=0.0, t=0.1, s=0.05, band_r0=0.5, n_paths=20000, x=None
+) -> CheckReport:
     dim = bundle.spec.dim
-    phi = _phi_field(cfg.get("grid", {}), params.get("phi", "plane"), dim)
     return checklib.check_ito_coupling_drift(
-        phi,
-        alpha=params.get("alpha", 0.0),
-        t=params.get("t", 0.1),
-        s=params.get("s", 0.05),
-        band_r0=params.get("band_r0", 0.5),
-        n_paths=params.get("n_paths", 20000),
+        _phi_field(cfg.get("grid", {}), phi, dim),
+        alpha=alpha,
+        t=t,
+        s=s,
+        band_r0=band_r0,
+        n_paths=n_paths,
         rng_seed=seed,
-        x=params.get("x", [0.0] * dim),
+        x=x if x is not None else [0.0] * dim,
     )
 
 
-def _run_profile(cfg, bundle, params, seed) -> tuple[CheckReport, dict]:
+def _run_profile(cfg, bundle, seed, t=0.1, n_samples=1500, width_bound=4.0) -> tuple[CheckReport, dict]:
     import time as _time
 
     start = _time.perf_counter()
     prof = interface_profile(
-        t=params.get("t", 0.1),
+        t=t,
         epsilon=bundle.spec.epsilon,
         kernel=bundle.kernel,
-        n_samples=params.get("n_samples", 1500),
+        n_samples=n_samples,
         rng_seed=seed,
         a=bundle.a,
         b=bundle.b,
     )
-    bound = params.get("width_bound", 4.0)
     stat = prof.width_in_scale_units
     report = CheckReport(
         name="interface_profile_width",
-        inputs={"t": prof.t, "epsilon": prof.epsilon, "n_samples": params.get("n_samples", 1500)},
+        inputs={"t": prof.t, "epsilon": prof.epsilon, "n_samples": n_samples},
         statistic=float(stat),
-        threshold=float(bound),
-        passed=bool(stat <= bound),
+        threshold=float(width_bound),
+        passed=bool(stat <= width_bound),
         budget={"width": prof.width_estimate},
         seed=seed,
         runtime=_time.perf_counter() - start,
@@ -268,46 +276,46 @@ def _run_profile(cfg, bundle, params, seed) -> tuple[CheckReport, dict]:
     return report, {"interface_profile.csv": prof.to_csv()}
 
 
-def _run_allen_cahn(cfg, bundle, params, seed) -> CheckReport:
+def _run_allen_cahn(
+    cfg, bundle, seed, half_width=3.0, grid_points=600, points=((0.05, 0.0), (0.1, 0.3), (0.15, -0.2)),
+    n_samples=20000, pde_budget=0.02,
+) -> CheckReport:
     if bundle.spec.dim != 1:
         raise ConfigError("allen_cahn_duality runs on a dim-1 model")
-    half = params.get("half_width", 3.0)
-    n_grid = params.get("grid_points", 600)
     p0 = field_from_function(
         lambda P: np.where(P[:, 0] >= 0, bundle.b, bundle.a),
-        origin=[-half], spacing=2 * half / (n_grid - 1), extents=[n_grid],
+        origin=[-half_width], spacing=2 * half_width / (grid_points - 1), extents=[grid_points],
     )
-    points = params.get("points", [[0.05, 0.0], [0.1, 0.3], [0.15, -0.2]])
     return checklib.check_allen_cahn_duality(
         bundle,
         p0,
         [(t, [x]) for t, x in points],
-        n_samples=params.get("n_samples", 20000),
+        n_samples=n_samples,
         rng_seed=seed,
-        pde_budget=params.get("pde_budget", 0.02),
+        pde_budget=pde_budget,
     )
 
 
-def _run_mcf_duality(cfg, bundle, params, seed) -> CheckReport:
-    dim = bundle.spec.dim
-    if dim != 2:
+def _run_mcf_duality(
+    cfg, bundle, seed, r0=0.3, half_width=1.2, grid_points=128, T_list=(0.05,), epsilon_list=(0.3, 0.2),
+    sample_points=((0.8, 0.0), (0.6, 0.6)), n_samples=1200, margin=0.08,
+) -> CheckReport:
+    if bundle.spec.dim != 2:
         raise ConfigError("mcf_duality runs on a dim-2 model")
-    r0 = params.get("r0", 0.3)
-    half = params.get("half_width", 1.2)
-    n_grid = params.get("grid_points", 128)
     p0 = field_from_function(
         lambda P: np.where(np.linalg.norm(P, axis=1) < r0, bundle.a, bundle.b),
-        origin=[-half, -half], spacing=2 * half / (n_grid - 1), extents=[n_grid, n_grid],
+        origin=[-half_width, -half_width], spacing=2 * half_width / (grid_points - 1),
+        extents=[grid_points, grid_points],
     )
     return checklib.check_mcf_duality(
         _bundle_factory(cfg["model"]),
         p0,
-        T_list=params.get("T_list", [0.05]),
-        epsilon_list=params.get("epsilon_list", [0.3, 0.2]),
-        sample_points=params.get("sample_points", [[0.8, 0.0], [0.6, 0.6]]),
-        n_samples=params.get("n_samples", 1200),
+        T_list=T_list,
+        epsilon_list=epsilon_list,
+        sample_points=sample_points,
+        n_samples=n_samples,
         rng_seed=seed,
-        margin=params.get("margin", 0.08),
+        margin=margin,
     )
 
 
@@ -326,12 +334,17 @@ CHECK_RUNNERS: dict[str, Callable] = {
 }
 
 
+def _check_params(name: str) -> set:
+    """The params a configured check reads: its runner's keyword arguments."""
+    return set(list(inspect.signature(CHECK_RUNNERS[name]).parameters)[3:])
+
+
 def _execute_check(args: tuple) -> tuple[int, CheckReport, dict]:
     cfg, index, chk = args
     seed = int(derive_rng(cfg["seed"], 0xC0DE, index).integers(0, 2**62))
     bundle = _make_bundle(cfg["model"])
     runner = CHECK_RUNNERS[chk["name"]]
-    out = runner(cfg, bundle, chk.get("params", {}), seed)
+    out = runner(cfg, bundle, seed, **chk.get("params", {}))
     report, artifacts = out if isinstance(out, tuple) else (out, {})
     return index, report, artifacts
 

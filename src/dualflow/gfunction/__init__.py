@@ -15,7 +15,6 @@ from .gfun import (
 )
 from .nlv import (
     MarkedPartition,
-    all_marked_partitions,
     nlv_rate_flags,
     nlv_kernel,
     nlv_polynomial_g,
@@ -23,8 +22,6 @@ from .nlv import (
     singleton_partition,
 )
 from .coalescence import (
-    PartitionDistribution,
-    coalescence_partition_distribution,
     gbar,
 )
 
@@ -39,13 +36,10 @@ __all__ = [
     "find_fixed_points",
     "verify_g_axioms",
     "MarkedPartition",
-    "all_marked_partitions",
     "nlv_rate_flags",
     "nlv_kernel",
     "nlv_polynomial_g",
     "g_pi_batch",
     "singleton_partition",
-    "PartitionDistribution",
-    "coalescence_partition_distribution",
     "gbar",
 ]

@@ -1,4 +1,4 @@
-"""Coalescing random walks, partition distributions, and the effective g.
+"""Coalescing random walks, their partitions, and the effective g.
 
 Walkers perform independent continuous-time simple random walks on the
 integer lattice (total jump rate ``jump_rate`` each, uniform over the 2d
@@ -15,17 +15,17 @@ jumps at once (at most ``_MAX_LEAP``), because only the D-th of them can
 make a merge. The leap is exact: the partitions have the law of the
 one-jump-at-a-time walk, but the random draws differ from it.
 
-Infinite horizons are approximated by a finite cutoff that doubles
-until the no-coalescence weight moves by less than ``stall_tol`` (the
-weight is monotone in the horizon along fixed paths, so the doubling
-increments measure exactly the missed mass).
+Infinite horizons are approximated by a finite cutoff that doubles from
+``INITIAL_CUTOFF`` until the no-coalescence weight moves by less than
+``STALL_TOL`` or the cutoff reaches ``MAX_CUTOFF`` (the weight is
+monotone in the horizon along fixed paths, so the doubling increments
+measure exactly the missed mass).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,52 +37,21 @@ from .nlv import (
     MarkedPartition,
     g_pi_batch,
     g_pi_univariate_coeffs,
-    singleton_partition,
 )
 
 __all__ = [
-    "PartitionDistribution",
-    "coalescence_partition_distribution",
     "sample_coalescent_partitions",
     "gbar",
 ]
 
-DEFAULT_STALL_TOL = 1e-3
-DEFAULT_INITIAL_CUTOFF = 8.0
-DEFAULT_MAX_CUTOFF = 512.0
+STALL_TOL = 1e-3
+INITIAL_CUTOFF = 8.0
+MAX_CUTOFF = 512.0
 # Most jumps one pass takes for one sample: it bounds each pass's per-jump
 # arrays to _MAX_LEAP entries per running sample. A leap shorter than D
 # keeps the law, and few are cut: 29 of 296,000 sample-passes in a
 # 750-sample gbar(L=2, dim=3) to the 512 cap.
 _MAX_LEAP = 128
-
-
-@dataclass
-class PartitionDistribution:
-    """Monte Carlo distribution over marked partitions of {1..m}."""
-
-    dim: int
-    start: np.ndarray  # (m, dim) offsets, or (n, m, dim) when per-sample
-    horizon: float  # requested horizon (may be inf)
-    effective_horizon: float  # cutoff actually simulated
-    weights: dict[MarkedPartition, float]
-    stderr: dict[MarkedPartition, float]
-    n_samples: int
-    notes: list[str] = field(default_factory=list)
-
-    def weight_of(self, partition: MarkedPartition) -> float:
-        return self.weights.get(partition, 0.0)
-
-    @property
-    def singleton_weight(self) -> float:
-        m = self.start.shape[-2]
-        return self.weight_of(singleton_partition(m))
-
-    def to_csv(self) -> str:
-        lines = ["partition,weight,stderr"]
-        for part in sorted(self.weights, key=str):
-            lines.append(f"{part},{self.weights[part]:.10g},{self.stderr[part]:.4g}")
-        return "\n".join(lines) + "\n"
 
 
 def _as_starts(start: Sequence, dim: int, n_samples: int) -> np.ndarray:
@@ -279,16 +248,13 @@ def sample_coalescent_partitions(
     jump_rate: float,
     n_samples: int,
     rng: np.random.Generator,
-    stall_tol: float = DEFAULT_STALL_TOL,
-    initial_cutoff: float = DEFAULT_INITIAL_CUTOFF,
-    max_cutoff: float = DEFAULT_MAX_CUTOFF,
 ) -> tuple[np.ndarray, float, list[str]]:
     """Final cluster labels (n_samples, m) and the cutoff actually used.
 
     For a finite horizon, walks run exactly to the horizon. For an
     infinite one, the cutoff doubles (continuing the same trajectories,
     so the singleton weight is monotone) until its decrement is below
-    ``stall_tol`` or ``max_cutoff`` is reached.
+    ``STALL_TOL`` or ``MAX_CUTOFF`` is reached.
     """
     for name, value in (("n_samples", n_samples), ("dim", dim)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
@@ -297,8 +263,6 @@ def sample_coalescent_partitions(
         raise ArgumentError("jump_rate must be positive and finite")
     if not horizon >= 0:
         raise ArgumentError("horizon must be nonnegative (inf for the infinite horizon)")
-    if not 0 < initial_cutoff <= max_cutoff < math.inf:
-        raise ArgumentError("cutoffs must satisfy 0 < initial_cutoff <= max_cutoff < inf")
     pos = _as_starts(start, dim, n_samples)
     m = pos.shape[1]
     rep = np.tile(np.arange(m), (n_samples, 1))
@@ -310,21 +274,21 @@ def sample_coalescent_partitions(
         _run_coalescing(pos, rep, t, horizon, jump_rate, rng)
         return rep, float(horizon), notes
 
-    cutoff = initial_cutoff
+    cutoff = INITIAL_CUTOFF
     _run_coalescing(pos, rep, t, cutoff, jump_rate, rng)
     prev_single = _singleton_fraction(rep)
-    while cutoff < max_cutoff:
+    while cutoff < MAX_CUTOFF:
         cutoff *= 2.0
         _run_coalescing(pos, rep, t, cutoff, jump_rate, rng)
         single = _singleton_fraction(rep)
-        if prev_single - single < stall_tol:
+        if prev_single - single < STALL_TOL:
             notes.append(
                 f"cutoff {cutoff:g}: no-coalescence weight moved "
-                f"{prev_single - single:.2e} (< {stall_tol:g}) on doubling"
+                f"{prev_single - single:.2e} (< {STALL_TOL:g}) on doubling"
             )
             return rep, cutoff, notes
         prev_single = single
-    notes.append(f"cutoff capped at {max_cutoff:g}; tail not fully resolved")
+    notes.append(f"cutoff capped at {MAX_CUTOFF:g}; tail not fully resolved")
     return rep, cutoff, notes
 
 
@@ -356,39 +320,6 @@ def _partition_frequencies(
     weights = {p: c / n for p, c in counts.items()}
     stderr = {p: math.sqrt(w * (1.0 - w) / n) for p, w in weights.items()}
     return weights, stderr
-
-
-def coalescence_partition_distribution(
-    start: Sequence,
-    dim: int,
-    horizon: float,
-    jump_rate: float,
-    n_samples: int,
-    rng_seed: int,
-    stall_tol: float = DEFAULT_STALL_TOL,
-) -> PartitionDistribution:
-    """Monte Carlo distribution of the marked coalescence partition.
-
-    ``start`` holds the walkers' initial lattice offsets; walkers
-    sharing an offset are already coalesced at time zero. Marks are
-    drawn uniformly within each block.
-    """
-    rng = derive_rng(rng_seed, 0xC0A1)
-    rep, eff_horizon, notes = sample_coalescent_partitions(
-        start, dim, horizon, jump_rate, n_samples, rng, stall_tol=stall_tol
-    )
-    weights, stderr = _partition_frequencies(rep, rng)
-    start_arr = np.asarray(start, dtype=np.int64)
-    return PartitionDistribution(
-        dim=dim,
-        start=start_arr,
-        horizon=horizon,
-        effective_horizon=eff_horizon,
-        weights=weights,
-        stderr=stderr,
-        n_samples=n_samples,
-        notes=notes,
-    )
 
 
 def sample_box_offsets(
@@ -433,7 +364,6 @@ def gbar(
     n_samples: int,
     rng_seed: int,
     jump_rate: Optional[float] = None,
-    stall_tol: float = DEFAULT_STALL_TOL,
 ) -> GFunction:
     """Effective g: coalescence-weighted average of the partition g's.
 
@@ -451,9 +381,7 @@ def gbar(
         jump_rate = float(dim)
     rng = derive_rng(rng_seed, 0x6BA2)
     starts = sample_box_offsets(L, dim, n_samples, rng)
-    rep, eff_horizon, notes = sample_coalescent_partitions(
-        starts, dim, horizon, jump_rate, n_samples, rng, stall_tol=stall_tol
-    )
+    rep, eff_horizon, notes = sample_coalescent_partitions(starts, dim, horizon, jump_rate, n_samples, rng)
     weights, stderr = _partition_frequencies(rep, rng)
 
     coeffs = np.zeros(6)

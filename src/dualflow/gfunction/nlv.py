@@ -22,8 +22,6 @@ monotone levels 0 <= a1 <= a2 <= 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +31,6 @@ from .kernels import ExchangeableKernel
 
 __all__ = [
     "MarkedPartition",
-    "all_marked_partitions",
     "nlv_rate_flags",
     "nlv_kernel",
     "nlv_polynomial_g",
@@ -111,36 +108,6 @@ class MarkedPartition:
 
 def singleton_partition(n: int = N_VOTERS) -> MarkedPartition:
     return MarkedPartition(tuple((i,) for i in range(1, n + 1)), tuple(range(1, n + 1)))
-
-
-def _set_partitions(items: Sequence[int]):
-    """All set partitions, blocks ordered by smallest element."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for rest_part in _set_partitions(rest):
-        yield [[first]] + [list(b) for b in rest_part]
-        for j in range(len(rest_part)):
-            copied = [list(b) for b in rest_part]
-            copied[j] = [first] + copied[j]
-            copied.sort(key=lambda b: b[0])
-            yield copied
-
-
-def all_marked_partitions(n: int = N_VOTERS) -> list[MarkedPartition]:
-    """Every marked partition of {1..n} (196 of them for n = 5)."""
-    out = []
-    seen = set()
-    for part in _set_partitions(list(range(1, n + 1))):
-        blocks = tuple(tuple(sorted(b)) for b in sorted(part, key=lambda b: b[0]))
-        if blocks in seen:
-            continue
-        seen.add(blocks)
-        for marks in product(*blocks):
-            out.append(MarkedPartition(blocks, tuple(marks)))
-    return out
 
 
 def nlv_rate_flags(a1: float, a2: float, a3: float, a4: float) -> dict[str, bool]:

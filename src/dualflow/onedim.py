@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentError
-from .dualtree.estimate import VoteEstimate, estimate_vote_probability
+from .dualtree.estimate import VoteEstimate, estimate_vote_probabilities, estimate_vote_probability
 from .dualtree.tree import BranchingSpec
 from .gfunction.kernels import ExchangeableKernel
 from .models import brownian_motion
@@ -147,20 +147,22 @@ def interface_profile(
 ) -> InterfaceProfile:
     """Estimate the step-data vote profile on a grid of start heights.
 
-    The width estimate is the smallest w such that the profile exceeds
-    b - tol for z >= w and stays below a + tol for z <= -w, with
-    tol = 0.02 * (b - a); grid points are estimated independently with
-    per-point derived seeds.
+    The grid points are the columns of one forest, seeded
+    ``rng_seed + 1000`` (`estimate_vote_probabilities`): each estimate has
+    the law of its own `bbm1d_vote_prob`, column 0 is that call bit for
+    bit, and the columns are positively correlated. The width estimate is
+    the smallest w such that b - v <= tol for z >= w and v - a <= tol for
+    z <= -w, with tol = 0.02 * (b - a).
     """
+    _require_kernel(kernel)
     if z_grid is None:
         z_grid = default_z_grid(epsilon)
     z_grid = np.asarray(z_grid, dtype=float)
     if np.any(np.diff(z_grid) <= 0):
         raise ArgumentError("z_grid must be strictly increasing")
-    estimates = [
-        bbm1d_vote_prob(float(z), t, epsilon, kernel, n_samples, rng_seed + 1000 + i, a=a, b=b, gamma=gamma)
-        for i, z in enumerate(z_grid)
-    ]
+    spec = bbm1d_spec(epsilon, kernel.n_children, gamma)
+    leaves = [step_profile(a, b)] * z_grid.size
+    estimates = estimate_vote_probabilities(spec, kernel, z_grid[:, None], t, leaves, n_samples, rng_seed + 1000)
     profile = InterfaceProfile(t, epsilon, a, b, z_grid, estimates)
     profile.width_estimate = _width_estimate(profile)
     return profile
@@ -169,8 +171,10 @@ def interface_profile(
 def _width_estimate(profile: InterfaceProfile) -> float:
     tol = WIDTH_TOL * (profile.b - profile.a)
     z, v = profile.z_grid, profile.values
-    ok_hi = v >= profile.b - tol
-    ok_lo = v <= profile.a + tol
+    # compared as a plateau check compares: v >= b - tol accepts v = 0.98,
+    # though 1 - 0.98 = 0.020000000000000018 > 0.02
+    ok_hi = profile.b - v <= tol
+    ok_lo = v - profile.a <= tol
     candidates = []
     for w in np.abs(np.concatenate([z, [0.0]])):
         if np.all(ok_hi[z >= w]) and np.all(ok_lo[z <= -w]):

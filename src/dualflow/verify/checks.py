@@ -211,10 +211,11 @@ def check_semigroup(
     """Two-stage vs direct estimate of the vote probability at t + h.
 
     The inner stage estimates the whole profile u(t, .; p) on the grid,
-    the outer stage feeds its interpolation back in as the voting
-    function for a horizon-h run. Currently supports 1-D spatial grids
-    (the interpolation budget is grid spacing times the fitted Lipschitz
-    constant of the inner profile).
+    one forest whose columns are the grid points (`bundle_estimates`,
+    seeded ``rng_seed + 7919``); the outer stage feeds its interpolation
+    back in as the voting function for a horizon-h run. Currently supports
+    1-D spatial grids (the interpolation budget is grid spacing times the
+    fitted Lipschitz constant of the inner profile).
     """
     spatial_grid = np.asarray(spatial_grid, dtype=float)
     if spatial_grid.ndim != 1:
@@ -225,9 +226,7 @@ def check_semigroup(
         raise ArgumentError("need t > 0 and h >= 0")
     with timed_report() as box:
         direct = bundle_estimate(bundle, x, t + h, p, n_outer, rng_seed)
-        inner: list[VoteEstimate] = []
-        for i, z in enumerate(spatial_grid):
-            inner.append(bundle_estimate(bundle, [float(z)], t, p, n_inner, rng_seed + 7919 * (i + 1)))
+        inner = bundle_estimates(bundle, spatial_grid[:, None], t, [p] * spatial_grid.size, n_inner, rng_seed + 7919)
         q_vals = np.array([e.value for e in inner])
         q_hat = _grid_interpolant_1d(spatial_grid, q_vals)
         two_stage = bundle_estimate(bundle, x, h, q_hat, n_outer, rng_seed + 1)
@@ -281,26 +280,26 @@ def check_monotonicity(
 ) -> CheckReport:
     """Estimates under p_low never exceed those under p_high.
 
-    At each point p_low and p_high are two columns of one forest: they
-    read the same genealogies and share every per-vertex draw, so the
-    exact recursion makes the comparison pathwise and the margin is
-    exact.
+    One forest serves every point: the columns are (x_i, p_low) and
+    (x_i, p_high) for each point, seeded ``rng_seed + 104729``. The two
+    columns of a point read the same genealogies and share every
+    per-vertex draw, so the exact recursion makes the comparison pathwise
+    and the margin is exact.
     """
+    points = list(points)
     with timed_report() as box:
-        worst = -math.inf
-        values = []
-        for i, x in enumerate(points):
-            seed = rng_seed + 104729 * (i + 1)
-            lo, hi = bundle_estimates(bundle, [x, x], t, [p_low, p_high], n_samples, seed)
-            values.append((lo.value, hi.value))
-            worst = max(worst, lo.value - hi.value)
+        ests = bundle_estimates(
+            bundle, [x for x in points for _ in (0, 1)], t, [p_low, p_high] * len(points), n_samples, rng_seed + 104729
+        )
+        values = [(lo.value, hi.value) for lo, hi in zip(ests[::2], ests[1::2])]
+        worst = max(lo - hi for lo, hi in values)
     return CheckReport(
         name="monotonicity",
         inputs={
             "model": bundle.spec.label,
             "epsilon": bundle.spec.epsilon,
             "t": t,
-            "n_points": len(list(points)),
+            "n_points": len(points),
             "n_samples": n_samples,
         },
         statistic=float(worst),
@@ -318,7 +317,6 @@ def check_monotonicity(
 
 def check_equilibria(
     bundle: ModelBundle,
-    points: Sequence,
     t: float,
     n_samples: int,
     rng_seed: int,
@@ -330,25 +328,25 @@ def check_equilibria(
     zero variance; the threshold is floating-point tight. Every vertex
     combines through the bundle's g, which for the nonlinear voter is the
     frozen effective g rather than its coalescence-sampling combiner (its
-    equilibria are fixed points of that g by construction).
+    equilibria are fixed points of that g by construction). A constant
+    leaf function reads no position, so the start does not matter: one
+    forest from the origin, seeded ``rng_seed + 31``, has the constants a
+    and b as its two columns.
     """
     g_combo = lambda child, dec, rng: bundle.g.combine_params(child)
+    constants = (bundle.a, bundle.b)
     with timed_report() as box:
-        worst = 0.0
-        for j, const in enumerate((bundle.a, bundle.b)):
-            leaf = lambda P, c=const: np.full(P.shape[0], c)
-            for i, x in enumerate(points):
-                est = estimate_vote_probability(
-                    bundle.spec,
-                    bundle.kernel,
-                    x,
-                    t,
-                    leaf,
-                    n_samples,
-                    rng_seed + 31 * (i + 1) + j,
-                    combine=g_combo,
-                )
-                worst = max(worst, abs(est.value - const))
+        ests = estimate_vote_probabilities(
+            bundle.spec,
+            bundle.kernel,
+            np.zeros((2, bundle.spec.dim)),
+            t,
+            [lambda P, c=c: np.full(P.shape[0], c) for c in constants],
+            n_samples,
+            rng_seed + 31,
+            combine=g_combo,
+        )
+        worst = max(abs(est.value - c) for est, c in zip(ests, constants))
     return CheckReport(
         name="equilibria",
         inputs={

@@ -155,7 +155,7 @@ def test_criterion_03_equilibria_all_models():
     worst = 0.0
     ok = True
     for b in bundles:
-        rep = check_equilibria(b, [[0.0] * b.spec.dim], t=0.04, n_samples=60, rng_seed=17)
+        rep = check_equilibria(b, t=0.04, n_samples=60, rng_seed=17)
         ok &= rep.passed
         worst = max(worst, rep.statistic)
     elapsed = time.perf_counter() - start

@@ -13,6 +13,8 @@ def write_cfg(tmp_path: Path, cfg: dict) -> Path:
     return path
 
 
+QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+
 BASE = {
     "version": 1,
     "seed": 77,
@@ -35,6 +37,23 @@ class TestConfigValidation:
         cfg = dict(BASE, wallclock=True)
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, cfg))
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"name": "equilibria", "params": {"n_sample": 7, "tt": 0.01}},
+            {"name": "equilibria", "params": {"points": [[0.0]]}},
+            {"name": "semigroup", "params": {"cfg": {}}},
+            {"name": "monotonicity", "params": [0.05]},
+        ],
+    )
+    def test_unknown_check_params_rejected(self, tmp_path, check):
+        path = write_cfg(tmp_path, dict(BASE, checks=[check]))
+        with pytest.raises(ConfigError):
+            load_config(path)
+        out = tmp_path / "out"
+        assert run(str(path), out_dir=str(out)) == 2
+        assert not (out / "reports.jsonl").exists()
 
     def test_unknown_check_rejected(self, tmp_path):
         cfg = dict(BASE, checks=[{"name": "nosuch"}])
@@ -151,9 +170,20 @@ class TestEntryPoints:
         assert main(["describe", "bogus"]) == 2
 
     def test_quickstart_config_parses(self):
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "quickstart.json")
+        cfg = load_config(QUICKSTART)
         assert cfg["model"]["name"] == "ternary_bbm"
         assert len(cfg["checks"]) == 3
+
+    def test_quickstart_grows_five_forests(self, tmp_path, monkeypatch):
+        # equilibria 1 (a and b are its columns), monotonicity 1, semigroup
+        # 3 (direct, the inner grid as columns, two-stage)
+        import dualflow.dualtree.estimate as estimate
+
+        calls = []
+        forest = estimate.forest_root_params
+        monkeypatch.setattr(estimate, "forest_root_params", lambda *a, **kw: calls.append(1) or forest(*a, **kw))
+        assert run(str(QUICKSTART), out_dir=str(tmp_path / "out")) == 0
+        assert len(calls) == 5
 
 
 class TestArtifacts:

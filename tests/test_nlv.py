@@ -1,10 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from dualflow.errors import ArgumentError
 from dualflow.gfunction import (
     MarkedPartition,
-    all_marked_partitions,
     find_fixed_points,
     g_pi_batch,
     kernel_g,
@@ -14,6 +15,7 @@ from dualflow.gfunction import (
     singleton_partition,
     verify_g_axioms,
 )
+from dualflow.gfunction.coalescence import _partition_frequencies, sample_coalescent_partitions
 from dualflow.gfunction.nlv import g_pi_univariate_coeffs
 
 from conftest import NLV_RATES
@@ -68,13 +70,31 @@ class TestPolynomialG:
         assert flags["balance"]
 
 
+def _marked_partitions(n=5):
+    """Every marked partition of {1..n}, from the restricted-growth label
+    strings (each label at most one above every label before it)."""
+    out = []
+    for labels in product(range(n), repeat=n):
+        if any(labels[i] > max(labels[:i], default=-1) + 1 for i in range(n)):
+            continue
+        blocks = tuple(tuple(i + 1 for i in range(n) if labels[i] == b) for b in range(max(labels) + 1))
+        out.extend(MarkedPartition(blocks, marks) for marks in product(*blocks))
+    return out
+
+
 class TestMarkedPartitions:
     def test_count_is_196(self):
-        assert len(all_marked_partitions(5)) == 196
+        parts = _marked_partitions(5)
+        assert len(parts) == len(set(parts)) == 196
+        # every partition coalescing walks produce is one of them
+        rng = np.random.default_rng(5)
+        start = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
+        rep, _, _ = sample_coalescent_partitions(start, 3, 2.0, 3.0, 400, rng)
+        weights, _ = _partition_frequencies(rep, rng)
+        assert len(weights) > 10 and set(weights) <= set(parts)
 
     def test_parse_string_roundtrip(self):
-        parts = all_marked_partitions(5)
-        for part in parts[::17]:
+        for part in _marked_partitions(5):
             assert MarkedPartition.parse(str(part)) == part
 
     def test_malformed_partitions_rejected(self):
@@ -137,7 +157,7 @@ class TestGPi:
 
     def test_univariate_coeffs_match_pointwise(self):
         ps = np.array([0.0, 0.21, 0.5, 0.83, 1.0])
-        for part in all_marked_partitions(5)[::23]:
+        for part in _marked_partitions(5):
             coeffs = g_pi_univariate_coeffs(part, **NLV_RATES)
             poly_vals = np.polynomial.polynomial.polyval(ps, coeffs)
             direct = g_pi_batch(part, np.repeat(ps[:, None], 5, axis=1), **NLV_RATES)

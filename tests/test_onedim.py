@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dualflow.dualtree import VoteEstimate
 from dualflow.gfunction import kernel_g, majority_kernel
 from dualflow.onedim import (
+    InterfaceProfile,
+    _width_estimate,
     bbm1d_vote_prob,
     default_z_grid,
     interface_profile,
@@ -47,6 +50,18 @@ class TestProfile:
         assert np.all(vals[z < 0] == 0.0)
         assert np.all(vals[z >= 0] == 1.0)
         assert prof.width_estimate <= np.diff(z).max() + 1e-12
+
+    def test_width_uses_the_plateau_comparison(self):
+        # 1470 of 1500 trees at 1 read 0.98, and 1 - 0.98 = 0.020000000000000018
+        # exceeds the 0.02 tolerance: that point is inside the interface
+        z = np.array([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3])
+        values = [0.0, 0.0, 0.2, 0.5, 0.8, 1470 / 1500, 1.0]
+        ests = [VoteEstimate(v, 0.0, 1500, 0, 0.1, (float(x),)) for x, v in zip(z, values)]
+        prof = InterfaceProfile(0.1, EPS, 0.0, 1.0, z, ests)
+        w = _width_estimate(prof)
+        assert w == pytest.approx(0.3)
+        assert np.all(1.0 - prof.values[z >= w] <= 0.02)
+        assert np.all(prof.values[z <= -w] <= 0.02)
 
     def test_monotone_up_to_noise(self, formed_profile):
         v, se = formed_profile.values, formed_profile.stderrs

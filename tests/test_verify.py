@@ -12,7 +12,9 @@ from dualflow.models import (
     sexual_reproduction_dual,
     ternary_bbm,
 )
-from dualflow.onedim import step_profile
+from dualflow.dualtree import estimate_vote_probability
+from dualflow.gfunction import majority_kernel
+from dualflow.onedim import interface_profile, step_profile
 from dualflow.pde import ScalarField, distance, field_from_function
 from dualflow.verify import (
     check_allen_cahn_duality,
@@ -168,7 +170,7 @@ class TestMonotonicityAndEquilibria:
     def test_equilibria_three_models(self):
         for bundle in (ternary_bbm(0.3, 1), sexual_reproduction_dual(0.3, 2),
                        lotka_volterra_dual(0.3, L=2, dim=3, p3_samples=800)):
-            rep = check_equilibria(bundle, [[0.0] * bundle.spec.dim], 0.04, 100, 7)
+            rep = check_equilibria(bundle, 0.04, 100, 7)
             assert rep.passed, bundle.spec.label
             assert rep.statistic <= 1e-12
 
@@ -472,7 +474,7 @@ class TestDualityChecks:
 
 class TestReportContract:
     def test_json_line_is_parseable(self, bbm1):
-        rep = check_equilibria(bbm1, [[0.0]], 0.03, 50, 1)
+        rep = check_equilibria(bbm1, 0.03, 50, 1)
         data = json.loads(rep.to_json())
         assert data["name"] == "equilibria"
         assert data["passed"] is True
@@ -538,15 +540,23 @@ def _small_disk_p0():
 
 
 def _grouped_runs():
-    """(check call, the seed of each forest call in order) per rewired
-    check: one forest per (t, epsilon), seeded as its first point was."""
+    """(run, the seed of each forest call in order) per multi-point
+    estimate: one forest per (t, epsilon), seeded as its first point was
+    when each point had a forest. A run returns whether its check passed."""
     bbm1, bbm2, mk = ternary_bbm(0.25, 1), ternary_bbm(0.2, 2), lambda e: ternary_bbm(e, 2)
     p0 = field_from_function(lambda P: (P[:, 0] >= 0).astype(float), origin=[-3.0], spacing=6 / 599, extents=[600])
     lo, hi = step_profile(), (lambda P: (P[:, 0] >= -0.3).astype(float))
     return {
+        "semigroup": (
+            lambda: check_semigroup(
+                bbm1, [0.0], t=0.02, h=0.02, p=step_profile(), spatial_grid=np.linspace(-1, 1, 21),
+                n_outer=2000, n_inner=500, rng_seed=5,
+            ).passed,
+            [5 + 7919],
+        ),
         "monotonicity": (
-            lambda: check_monotonicity(bbm1, lo, hi, [[0.0], [0.2]], 0.05, 500, 3),
-            [3 + 104729, 3 + 2 * 104729],
+            lambda: check_monotonicity(bbm1, lo, hi, [[0.0], [0.2]], 0.05, 500, 3).passed,
+            [3 + 104729],
         ),
         "monotonicity_nlv": (
             lambda: check_monotonicity(
@@ -554,72 +564,90 @@ def _grouped_runs():
                 lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0),
                 lambda P: np.clip(0.6 + 20.0 * P[:, 0], 0.0, 1.0),
                 [[0.0, 0.0, 0.0]], 0.2, 60, 4,
-            ),
+            ).passed,
             [4 + 104729],
+        ),
+        "equilibria": (
+            lambda: check_equilibria(sexual_reproduction_dual(0.3, 2), 0.04, 100, 7).passed,
+            [7 + 31],
+        ),
+        "interface_profile": (
+            lambda: interface_profile(
+                t=0.15, epsilon=0.25, kernel=majority_kernel(3), n_samples=2500, rng_seed=31
+            ).width_in_scale_units <= 4.0,
+            [31 + 1000],
         ),
         "flow_consistency": (
             lambda: check_flow_consistency(
                 mk, circle_phi(), alpha=1.0, delta=0.05, h=0.05, epsilon_list=[0.3, 0.2], n_samples=300, rng_seed=5
-            ),
+            ).passed,
             [5 + 613, 5 + 2 * 613],
         ),
         "interface_formation": (
-            lambda: check_interface_formation(bbm2, circle_phi(), delta=0.05, epsilon=0.2, n_samples=400, rng_seed=5),
+            lambda: check_interface_formation(
+                bbm2, circle_phi(), delta=0.05, epsilon=0.2, n_samples=400, rng_seed=5
+            ).passed,
             [5 + 211],
         ),
         "propagation_vs_1d": (
             lambda: check_propagation_vs_1d(
                 bbm2, circle_phi(), alpha=1.0, delta=0.05, epsilon=0.2, time_grid=[0.08, 0.12], n_samples=200, rng_seed=5
-            ),
+            ).passed,
             [5 + 4013, 5 + 2 * 4013],
         ),
         "mcf_duality": (
             lambda: check_mcf_duality(
                 mk, _small_disk_p0(), T_list=[0.05], epsilon_list=[0.3, 0.2],
                 sample_points=[[0.0, 0.05], [0.8, 0.0], [0.6, 0.6]], n_samples=300, rng_seed=9, margin=0.08,
-            ),
+            ).passed,
             # the first point sits inside the margin, so the group starts at the second
             [9 + 89 + 7, 9 + 2 * 89 + 7],
         ),
         "allen_cahn_duality": (
             lambda: check_allen_cahn_duality(
                 bbm1, p0, [(0.05, [0.0]), (0.1, [-0.2]), (0.05, [0.3]), (0.1, [0.5])], n_samples=3000, rng_seed=12
-            ),
+            ).passed,
             [12 + 37, 12 + 2 * 37],
         ),
     }
 
 
 class TestOneForestPerGroup:
-    """Each rewired check grows one forest per (t, epsilon) group. Column 0
-    of a group is the single-start estimate on the group's seed, bit for
-    bit; a later column is a correlated estimate with its own marginal law."""
+    """Each multi-point estimate grows one forest per (t, epsilon) group.
+    Column 0 of a group is the single-start estimate on the group's seed,
+    bit for bit; a later column is a correlated estimate with its own
+    marginal law."""
 
     @pytest.mark.parametrize("name", sorted(_grouped_runs()))
     def test_columns_against_single_start_estimates(self, monkeypatch, name):
+        import dualflow.onedim as onedim
         import dualflow.verify.checks as checks
 
         calls = []
-        grouped = checks.bundle_estimates
 
-        def spy(bundle, xs, t, ps, n_samples, rng_seed, **kwargs):
-            out = grouped(bundle, xs, t, ps, n_samples, rng_seed, **kwargs)
-            calls.append((bundle, xs, t, ps, n_samples, rng_seed, out))
-            return out
+        def spying(grouped):
+            def spy(spec, kernel, starts, t, leaves, n_samples, rng_seed, **kwargs):
+                out = grouped(spec, kernel, starts, t, leaves, n_samples, rng_seed, **kwargs)
+                calls.append((spec, kernel, np.asarray(starts, dtype=float), t, leaves, n_samples, rng_seed, kwargs, out))
+                return out
 
-        monkeypatch.setattr(checks, "bundle_estimates", spy)
+            return spy
+
+        # every multi-point estimate reaches the forest through one of these
+        for module in (checks, onedim):
+            monkeypatch.setattr(module, "estimate_vote_probabilities", spying(module.estimate_vote_probabilities))
         run, seeds = _grouped_runs()[name]
-        assert run().passed
-        assert [call[5] for call in calls] == seeds
-        for bundle, xs, t, ps, n, seed, out in calls:
-            single = checks.bundle_estimate(bundle, xs[0], t, ps[0], n, seed)
+        assert run()
+        assert [call[6] for call in calls] == seeds
+        for spec, kernel, xs, t, leaves, n, seed, kwargs, out in calls:
+            single = estimate_vote_probability(spec, kernel, xs[0], t, leaves[0], n, seed, **kwargs)
             assert (out[0].value, out[0].stderr) == (single.value, single.stderr)
             for k in range(1, len(xs)):
                 if np.array_equal(xs[k], xs[0]):  # the same genealogies, unshifted
-                    same = checks.bundle_estimate(bundle, xs[k], t, ps[k], n, seed)
+                    same = estimate_vote_probability(spec, kernel, xs[k], t, leaves[k], n, seed, **kwargs)
                     assert (out[k].value, out[k].stderr) == (same.value, same.stderr)
                     continue
-                own = checks.bundle_estimate(bundle, xs[k], t, ps[k], n, seed + 1_000_003)
+                own = estimate_vote_probability(spec, kernel, xs[k], t, leaves[k], n, seed + 1_000_003, **kwargs)
                 assert abs(out[k].value - own.value) <= 4 * math.hypot(out[k].stderr, own.stderr)
 
     def test_propagation_memory_at_bench_size(self, bbm2):
