@@ -17,12 +17,12 @@ x_k - x_0. Leaves keep their positions and are valued only on the
 backward pass, where column k calls ``leaf_k(pos + (x_k - x_0))`` once
 per wave that has leaves, deepest wave first.
 
-Each column has its own backward pass over the stored waves, and each
-pass starts from the random state that growth left, so every pass makes
-the same per-vertex draws: the nonlinear voter's coalescence partition
-of a vertex is the same for every column. Column 0 is therefore bit for
-bit the one-column forest, and column k the one-column forest whose
-leaf function is shifted by x_k - x_0.
+Each column has its own backward pass over the stored waves. A pass
+draws nothing: what a vote needs at random (the nonlinear voter's
+coalescence partitions) was drawn once during growth, as the waves'
+decorations. Column 0 is therefore bit for bit the one-column forest,
+and column k the one-column forest whose leaf function is shifted by
+x_k - x_0.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def forest_root_params(
     pure function of the positions: it may draw no random numbers and
     gets them read-only. ``combine`` replaces the kernel's
     ``combine_params``; it receives (child_params (m, N0), the wave's
-    ``spec.decoration_fn`` rows or None, rng) and returns m parameters.
-    Decorations reach nothing else. The vertex budget is that of one
-    start, whatever K is.
+    ``spec.decoration_fn`` rows or None) and returns m parameters; it
+    must be pure too. Decorations reach nothing else. The vertex budget
+    is that of one start, whatever K is.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] != spec.dim or not np.isfinite(starts).all():
@@ -98,12 +98,10 @@ def forest_root_params(
     if combine is None:
         combine_wave = lambda wave, child: kernel.combine_params(child)
     else:
-        combine_wave = lambda wave, child: combine(child, wave.decorations, rng)
+        combine_wave = lambda wave, child: combine(child, wave.decorations)
     n_columns = starts.shape[0]
     root_params = np.empty((n_samples, n_columns), order="F")  # each column contiguous
-    replay = rng.bit_generator.state
     for k in range(n_columns):
-        rng.bit_generator.state = replay  # every pass makes the same per-vertex draws
         if k == n_columns - 1:  # the last pass pops each wave once it has moved above it
             deepest_first = (waves.pop() for _ in range(len(waves)))
         else:

@@ -56,8 +56,9 @@ class BranchingSpec:
     maps (n, dim) branch locations to (n, n_children, dim) offspring
     positions. Both must be vectorized over the leading axis.
     ``decoration_fn(parents, offspring, rng)``, when set, returns an array
-    with one row per branching event (leading axis n); the rows reach
-    only the model's forest combiner and a genealogy's wave arrays.
+    with one row per branching event (leading axis n). Growth draws it
+    once per wave, so combiners stay pure; the rows reach only the
+    model's forest combiner and a genealogy's wave arrays.
     """
 
     dim: int

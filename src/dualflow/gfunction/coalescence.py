@@ -298,13 +298,9 @@ def _singleton_fraction(rep: np.ndarray) -> float:
 
 
 def _labels_to_partition(labels: np.ndarray, rng: np.random.Generator) -> MarkedPartition:
-    m = labels.shape[0]
-    blocks: dict[int, list[int]] = {}
-    for i in range(m):
-        blocks.setdefault(int(labels[i]), []).append(i + 1)
-    ordered = tuple(tuple(b) for b in sorted(blocks.values(), key=lambda b: b[0]))
-    marks = tuple(int(b[rng.integers(0, len(b))]) for b in ordered)
-    return MarkedPartition(ordered, marks)
+    # canonical labels copy each block's smallest member; the marks are redrawn
+    blocks = MarkedPartition.from_copy_map(tuple(labels.tolist())).blocks
+    return MarkedPartition(blocks, tuple(b[rng.integers(0, len(b))] for b in blocks))
 
 
 def _partition_frequencies(

@@ -22,6 +22,7 @@ monotone levels 0 <= a1 <= a2 <= 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,15 @@ class MarkedPartition:
         order = np.argsort([b[0] for b in blocks])
         return cls(tuple(blocks[i] for i in order), tuple(marks[i] for i in order))
 
+    @classmethod
+    @lru_cache(maxsize=None)
+    def from_copy_map(cls, copy_map: tuple[int, ...]) -> "MarkedPartition":
+        """Member j + 1 copies member copy_map[j] + 1; a map with
+        c[c[j]] != c[j] puts a mark outside its block and is refused."""
+        marks = tuple(dict.fromkeys(copy_map))  # in order of each block's smallest member
+        blocks = tuple(tuple(j + 1 for j, c in enumerate(copy_map) if c == mark) for mark in marks)
+        return cls(blocks, tuple(mark + 1 for mark in marks))
+
 
 def singleton_partition(n: int = N_VOTERS) -> MarkedPartition:
     return MarkedPartition(tuple((i,) for i in range(1, n + 1)), tuple(range(1, n + 1)))
@@ -172,8 +182,9 @@ def g_pi_batch(
 
     Exact enumeration over the marked representatives' votes: members of
     a block contribute through their representative only, so 2**n_blocks
-    terms suffice. For the singleton partition this reduces, term by
-    term, to the raw kernel's ``combine_params``.
+    terms, weighed at once and summed in pattern order, suffice. For the
+    singleton partition this reduces, term by term, to the raw kernel's
+    ``combine_params``.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != partition.n:
@@ -181,19 +192,15 @@ def g_pi_batch(
     if np.any(probs < 0) or np.any(probs > 1):
         raise ArgumentError("probabilities must lie in [0,1]")
     levels = np.array([0.0, a1, a2, a3, a4, 1.0])
-    blocks, marks = partition.blocks, partition.marks
-    nb = len(blocks)
-    out = np.zeros(probs.shape[0])
-    for pattern in range(2**nb):
-        weight = np.ones(probs.shape[0])
-        k = 0
-        for j in range(nb):
-            w = (pattern >> j) & 1
-            pm = probs[:, marks[j] - 1]
-            weight = weight * (pm if w else 1.0 - pm)
-            k += len(blocks[j]) * w
-        out += levels[k] * weight
-    return out
+    nb = partition.n_blocks
+    votes = (np.arange(2**nb)[:, None] >> np.arange(nb)) & 1  # (patterns, blocks)
+    weight = np.ones((probs.shape[0], 2**nb))
+    for j, mark in enumerate(partition.marks):
+        pm = probs[:, mark - 1 : mark]
+        weight = weight * np.where(votes[:, j], pm, 1.0 - pm)
+    k = votes @ np.array([len(block) for block in partition.blocks])
+    # accumulate is sequential, so each row sums its terms in pattern order
+    return np.add.accumulate(levels[k] * weight, axis=1)[:, -1]
 
 
 def g_pi_univariate_coeffs(partition: MarkedPartition, a1, a2, a3, a4) -> np.ndarray:

@@ -17,12 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, ResourceError
 from .dualtree.tree import BranchingSpec
-from .gfunction.coalescence import (
-    _labels_to_partition,
-    gbar,
-    sample_box_offsets,
-    sample_coalescent_partitions,
-)
+from .gfunction.coalescence import gbar, sample_box_offsets, sample_coalescent_partitions
 # find_fixed_points is no longer called here but stays importable as
 # dualflow.models.find_fixed_points, where the perfbench tracer wraps it
 from .gfunction.gfun import GFunction, find_fixed_points, kernel_g, verify_g_axioms  # noqa: F401
@@ -50,8 +45,9 @@ class ModelBundle:
     """One dual model: spec, voting rule, g and equilibria.
 
     A bundle whose ``kernel`` is None votes only through ``combine``, the
-    forest combiner ``combine(child_params, decorations, rng)`` that reads
-    the per-event decorations of ``spec.decoration_fn``; no voting kernel
+    forest combiner ``combine(child_params, decorations)``: a pure
+    function of the children's parameters and the per-event decorations
+    that ``spec.decoration_fn`` drew once during growth. No voting kernel
     or g-function ever sees a decoration.
     """
 
@@ -365,13 +361,14 @@ def nonlinear_voter_dual(
     """Dual of the nonlinear voter perturbation: 5-ary branching walk
     with coalescence-decorated voting.
 
-    Offspring are the parent site plus four distinct uniform box sites;
-    the decoration of a branching event is its (5, dim) lattice
-    displacement array. The bundle has no voting kernel: ``combine``
-    samples one sibling coalescence partition per internal vertex from
-    those displacements and applies its g^pi. The bundle's g is the
-    effective (coalescence-weighted) g at this L and horizon, with
-    equilibria located on it.
+    Offspring are the parent site plus four distinct uniform box sites.
+    An event's decoration is its children's marked coalescence partition,
+    walked from their lattice displacements during growth with a uniform
+    mark per block: the (5,) copy map c by which child j copies child
+    c[j]. The bundle has no voting kernel: the pure ``combine`` applies
+    each vertex's g^pi. The bundle's g is the effective
+    (coalescence-weighted) g at this L and horizon, with equilibria
+    located on it.
     """
     if L < 1:
         raise ArgumentError("box half-width L must be >= 1")
@@ -400,20 +397,20 @@ def nonlinear_voter_dual(
         return out
 
     def decoration_fn(parents: np.ndarray, offspring: np.ndarray, rng: np.random.Generator):
-        return np.rint((offspring - parents[:, None, :]) / mesh).astype(np.int64)
+        """Each event's marked sibling coalescence partition, as a copy map."""
+        xi = np.rint((offspring - parents[:, None, :]) / mesh).astype(np.int64)
+        rep, _, _ = sample_coalescent_partitions(xi, dim, coalescence_horizon, float(dim), xi.shape[0], rng)
+        # the mark of a block is its member with the largest uniform key
+        keys = np.where(rep[:, :, None] == rep[:, None, :], rng.random(rep.shape)[:, None, :], -1.0)
+        return keys.argmax(axis=2)
 
-    def combine(child_params: np.ndarray, xi: np.ndarray, rng: np.random.Generator):
-        """Batched forest combiner: one coalescing realization per vertex."""
-        m = child_params.shape[0]
-        rep, _, _ = sample_coalescent_partitions(
-            xi, dim, coalescence_horizon, float(dim), m, rng
-        )
-        out = np.empty(m)
-        groups: dict[MarkedPartition, list[int]] = {}
-        for i in range(m):
-            part = _labels_to_partition(rep[i], rng)
-            groups.setdefault(part, []).append(i)
-        for part, rows in groups.items():
+    def combine(child_params: np.ndarray, copy_maps: np.ndarray):
+        """g^pi of each vertex's partition, one g_pi_batch per distinct copy map."""
+        maps, group = np.unique(copy_maps, axis=0, return_inverse=True)
+        out = np.empty(child_params.shape[0])
+        for i, copy_map in enumerate(maps.tolist()):
+            rows = group == i
+            part = MarkedPartition.from_copy_map(tuple(copy_map))
             out[rows] = g_pi_batch(part, child_params[rows], a1, a2, a3, a4)
         return out
 

@@ -327,13 +327,13 @@ def check_equilibria(
     composition of the bundle's g at a fixed point, so the estimate has
     zero variance; the threshold is floating-point tight. Every vertex
     combines through the bundle's g, which for the nonlinear voter is the
-    frozen effective g rather than its coalescence-sampling combiner (its
+    frozen effective g rather than its per-vertex partition combiner (its
     equilibria are fixed points of that g by construction). A constant
     leaf function reads no position, so the start does not matter: one
     forest from the origin, seeded ``rng_seed + 31``, has the constants a
     and b as its two columns.
     """
-    g_combo = lambda child, dec, rng: bundle.g.combine_params(child)
+    g_combo = lambda child, dec: bundle.g.combine_params(child)
     constants = (bundle.a, bundle.b)
     with timed_report() as box:
         ests = estimate_vote_probabilities(

@@ -12,7 +12,8 @@ so a renamed or moved function would break only the traced benchmark
 runs; installing and restoring its tracer here shows that every
 attribute it patches still resolves. The same tracer counts the forests
 the ``ternary_interface`` smoke run grows, so a return to one forest per
-point fails here.
+point fails here, and the walks the ``nlv_coalescence`` smoke run makes,
+so a combiner that walks again fails here too.
 """
 
 import importlib.util
@@ -25,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
     "ternary_interface": "d50a15ebf2594306",
-    "nlv_coalescence": "7f9f436296703e8a",
+    "nlv_coalescence": "56f3ef2d838c1435",
     "curvature_pde": "d9f3b7a3adbdda35",
 }
 
@@ -70,16 +71,29 @@ def test_span_tracer_patches_resolve_and_restore():
     assert [(attr, current(owner, attr)) for owner, attr, _ in patched] == [(attr, fn) for _, attr, fn in patched]
 
 
-def test_ternary_interface_grows_one_forest_per_group(workloads):
+def _traced_smoke(workloads, name):
+    """Run a workload's smoke size under the span tracer; returns a span counter."""
     spans = _load("spans")
     tracer = spans.Tracer()
-    cls = workloads.WORKLOADS["ternary_interface"]
+    cls = workloads.WORKLOADS[name]
     workload = cls(ROOT, ROOT / ".perfbench-out")
     try:
         spans.install(tracer)
         outcome = workload.solve(workload.setup(7, cls.sizes["smoke"], 0))
     finally:
         tracer.restore()
-    assert outcome.digest == PINNED_DIGESTS["ternary_interface"]
+    assert outcome.digest == PINNED_DIGESTS[name]
+    return lambda span_name: sum(span.name == span_name for span in tracer.spans)
+
+
+def test_ternary_interface_grows_one_forest_per_group(workloads):
+    count = _traced_smoke(workloads, "ternary_interface")
     # formation: 1 forest; propagation: 1 per time (3); Allen-Cahn: 1 per distinct t (3)
-    assert sum(span.name == "dualtree.forest" for span in tracer.spans) == 7
+    assert count("dualtree.forest") == 7
+
+
+def test_nlv_walks_once_per_gbar_and_decorated_wave(workloads):
+    count = _traced_smoke(workloads, "nlv_coalescence")
+    # the partitions are drawn while the forest grows; the combiner walks none
+    assert count("models.decoration") > 0 and count("models.nlv_combine") > 0
+    assert count("gfunction.coalescence") == count("gfunction.gbar") + count("models.decoration")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import dualflow.models
 from dualflow.dualtree import (
     BranchingSpec,
     TimeLabelledTree,
@@ -405,8 +406,8 @@ class TestTreeJson:
 
 @pytest.fixture(scope="module")
 def nlv_tree():
-    # a 5-ary genealogy with 14 branching events, each decorated with its
-    # (5, 3) int64 lattice displacement array
+    # a 5-ary genealogy whose branching events are each decorated with the
+    # (5,) int64 copy map of its children's marked coalescence partition
     bundle = nonlinear_voter_dual(0.45, L=2, dim=3, gbar_samples=200, gbar_seed=1)
     return bundle, simulate_tree(bundle.spec, [0.0, 0.0, 0.0], 0.15, rng_seed=5)
 
@@ -421,8 +422,11 @@ class TestDecoratedTree:
         rows = [(a.decorations, b.decorations) for a, b in zip(tree.waves, back.waves) if a.decorations is not None]
         assert events > 0 and sum(len(dec) for dec, _ in rows) == events
         for dec, got in rows:
-            assert got.dtype == np.int64 and got.shape[1:] == (5, 3)
+            assert got.dtype == np.int64 and got.shape[1:] == (5,)
             assert np.array_equal(got, dec)
+            assert np.array_equal(np.take_along_axis(got, got, axis=1), got)  # c[c[j]] = c[j]
+        # recorded when decorations were (5, 3) displacements: the JSON layer
+        # keeps them as opaque arrays
         recorded = json.loads((DATA / "tree_nlv_d3_seed5.json").read_text())["vertices"]
         assert sum("decoration" in rec for rec in recorded) == 14
 
@@ -500,15 +504,16 @@ def _forest_cases():
 
 
 # SHA-256 of root_params (little-endian f64), total_vertices, total_leaves and
-# max_depth, recorded while leaves were still valued in the backward pass
+# max_depth, recorded while leaves were still valued in the backward pass; the
+# nonlinear voter's since its partitions are drawn during growth
 PINNED_FORESTS = {
     "bbm1d_step": (
         "28c92e70632933ed114a14204344386750dd5287cff4098a594ca6801de8a3ef",
         56503, 37802, 17,
     ),
     "nonlinear_voter_dual_combine": (
-        "ad84a7196173a666124c751b32e2f4dcbc8352d8e6899720713485b206cda9e1",
-        2365, 1904, 9,
+        "707d2e9e359fcff6e464ea0ac0a51c8766622e9018618afacddab1d60cdc427c",
+        2920, 2348, 11,
     ),
     "sexual_reproduction_lattice_walk": (
         "4355bd84aba459874a3305202b74febf367fa47b2ca40919dc7b459bdadcfb8c",
@@ -604,6 +609,19 @@ class TestForestColumns:
         # the combiner's partitions are shared, so the order holds tree by tree
         assert np.all(res.root_params[:, 0] <= res.root_params[:, 1])
         assert np.any(res.root_params[:, 0] < res.root_params[:, 1])
+
+    def test_nlv_walk_count_does_not_depend_on_columns(self, monkeypatch):
+        # the partitions are drawn once, during growth, whatever K is
+        bundle = nonlinear_voter_dual(0.5, 2, dim=3, gbar_samples=200, **NLV_RATES)
+        walk, calls = dualflow.models.sample_coalescent_partitions, []
+        monkeypatch.setattr(dualflow.models, "sample_coalescent_partitions", lambda *a: calls.append(1) or walk(*a))
+        leaf = lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0)
+        counts = []
+        for k in (1, 2, 8):
+            calls.clear()
+            forest_root_params(bundle.spec, np.zeros((k, 3)), 0.2, [leaf] * k, None, 30, derive_rng(4, 1), combine=bundle.combine)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts == [counts[0]] * 3
 
     @pytest.mark.parametrize(
         "x, t, n",

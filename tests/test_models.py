@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dualflow.dualtree import estimate_vote_probability
 from dualflow.errors import ArgumentError, ResourceError
+from dualflow.gfunction import g_pi_batch, nlv_kernel
 from dualflow.models import (
     lotka_volterra_dual,
     nonlinear_voter_dual,
@@ -19,6 +21,7 @@ from dualflow.rng import derive_rng
 from dualflow.verify.checks import bundle_estimate
 
 from conftest import NLV_RATES
+from test_nlv import _copy_map, _marked_partitions
 
 SLFV_ARGS = dict(n=1000.0, beta=0.25, R=1.0, mu_radius_weights=[(0.5, 0.5), (1.0, 0.5)], epsilon_n=0.3, dim=2)
 
@@ -188,12 +191,28 @@ class TestNonlinearVoter:
         assert abs(b.a - a_pinned) <= 1e-12 and abs(b.b - b_pinned) <= 1e-12
         leaf = step_profile(a_pinned, b_pinned)
         pinned = [
-            ([0.0, 0.0, 0.0], 21, 0.5410945677025988, 0.017428960626815624),
-            ([-0.03, 0.0, 0.0], 22, 0.4574176234719809, 0.01714904917681671),
+            ([0.0, 0.0, 0.0], 21, 0.5432029370066748, 0.01723583485520479),
+            ([-0.03, 0.0, 0.0], 22, 0.45597059738260176, 0.017428753625075726),
         ]
         for x, seed, value, stderr in pinned:
             est = bundle_estimate(b, x, 0.05, leaf, 150, seed)
             assert (est.value, est.stderr) == (value, stderr)
+
+    def test_combiner_is_pure_and_exact(self, bundles):
+        # rows whose copy maps cover every marked partition, twice, interleaved
+        b = bundles["nlv"]
+        assert len(inspect.signature(b.combine).parameters) == 2
+        parts = _marked_partitions(5) * 2
+        maps = np.array([_copy_map(part) for part in parts])
+        rng = np.random.default_rng(17)
+        order = rng.permutation(len(parts))
+        probs = rng.uniform(0.0, 1.0, (len(parts), 5))
+        out = b.combine(probs, maps[order])
+        assert np.array_equal(out, b.combine(probs, maps[order]))
+        for part, row, value in zip([parts[i] for i in order], probs, out):
+            assert abs(value - g_pi_batch(part, row[None, :], **NLV_RATES)[0]) <= 1e-15
+        identity = np.tile(np.arange(5), (len(parts), 1))
+        assert np.max(np.abs(b.combine(probs, identity) - nlv_kernel(**NLV_RATES).combine_params(probs))) <= 1e-15
 
     def test_non_monotone_rates_build_and_flag(self):
         b = nonlinear_voter_dual(

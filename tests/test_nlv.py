@@ -82,6 +82,15 @@ def _marked_partitions(n=5):
     return out
 
 
+def _copy_map(partition):
+    """0-based copy map of a marked partition: member j + 1 copies c[j] + 1."""
+    copy = [0] * partition.n
+    for block, mark in zip(partition.blocks, partition.marks):
+        for j in block:
+            copy[j - 1] = mark - 1
+    return tuple(copy)
+
+
 class TestMarkedPartitions:
     def test_count_is_196(self):
         parts = _marked_partitions(5)
@@ -92,6 +101,13 @@ class TestMarkedPartitions:
         rep, _, _ = sample_coalescent_partitions(start, 3, 2.0, 3.0, 400, rng)
         weights, _ = _partition_frequencies(rep, rng)
         assert len(weights) > 10 and set(weights) <= set(parts)
+
+    def test_copy_map_roundtrip(self):
+        for part in _marked_partitions(5):
+            assert MarkedPartition.from_copy_map(_copy_map(part)) == part
+        for bad in ((1, 2, 2, 3, 4), (0, 0, 0, 0, 7), (-1, 1, 2, 3, 4)):  # c[c[j]] != c[j], or out of range
+            with pytest.raises(ArgumentError):
+                MarkedPartition.from_copy_map(bad)
 
     def test_parse_string_roundtrip(self):
         for part in _marked_partitions(5):
