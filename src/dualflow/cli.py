@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run --config cfg.json [--seed N] [--jobs K] [--out DIR]`` executes
   the configured checks, writes one JSON line per check to
-  ``reports.jsonl``, CSV/field artifacts next to it, and a summary
+  ``reports.jsonl``, CSV artifacts next to it, and a summary
   table; exit status 0 iff every check passed (2 on configuration
   errors, 3 on resource errors).
 * ``describe MODEL`` prints a model bundle's parameters and g-report.
@@ -384,11 +384,7 @@ def run(config_path: str, seed_override: int | None = None, jobs: int | None = N
             fh.write(rep.to_json() + "\n")
     for index, rep, artifacts in results:
         for fname, payload in artifacts.items():
-            path = out / f"{rep.name}-{index:02d}-{fname}"
-            if isinstance(payload, bytes):
-                path.write_bytes(payload)
-            else:
-                path.write_text(payload)
+            (out / f"{rep.name}-{index:02d}-{fname}").write_text(payload)
 
     width = max((len(r.name) for _, r, _a in results), default=10)
     lines = [f"{'check'.ljust(width)}  status  statistic     threshold     property"]

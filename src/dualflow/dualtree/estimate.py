@@ -12,7 +12,7 @@ from ..errors import ArgumentError
 from ..gfunction.kernels import ExchangeableKernel
 from ..rng import derive_rng
 from .forest import forest_root_params
-from .tree import BranchingSpec, DEFAULT_VERTEX_BUDGET
+from .tree import BranchingSpec
 
 __all__ = ["VoteEstimate", "estimate_vote_probabilities", "estimate_vote_probability"]
 
@@ -21,9 +21,8 @@ __all__ = ["VoteEstimate", "estimate_vote_probabilities", "estimate_vote_probabi
 class VoteEstimate:
     """A vote-probability estimate with its sampling error.
 
-    ``estimator`` records whether the value averages exact per-tree
-    parameters ("tree-exact", lower variance) or raw Bernoulli outcomes,
-    in which case stderr = sqrt(value*(1-value)/n_samples).
+    The value averages exact per-tree root parameters, and stderr is
+    their standard error.
     """
 
     value: float
@@ -33,7 +32,6 @@ class VoteEstimate:
     t: float
     x: tuple[float, ...]
     label: str = ""
-    estimator: str = "tree-exact"
 
     def __post_init__(self):
         if not -1e-12 <= self.value <= 1 + 1e-12:
@@ -48,7 +46,6 @@ def estimate_vote_probabilities(
     leaf_probs: Sequence[Callable[[np.ndarray], np.ndarray]],
     n_samples: int,
     rng_seed: int,
-    max_vertices: int = DEFAULT_VERTEX_BUDGET,
     combine: Optional[Callable] = None,
 ) -> list[VoteEstimate]:
     """Unbiased estimates of the root vote probability at (t, x_k), one
@@ -63,9 +60,7 @@ def estimate_vote_probabilities(
     positively correlated.
     """
     rng = derive_rng(rng_seed, 0xE577)
-    res = forest_root_params(
-        spec, starts, t, leaf_probs, kernel, n_samples, rng, max_vertices=max_vertices, combine=combine
-    )
+    res = forest_root_params(spec, starts, t, leaf_probs, kernel, n_samples, rng, combine=combine)
     estimates = []
     # each column is reduced from contiguous data, as a one-column forest is
     for x, vals in zip(np.asarray(starts, dtype=float), np.ascontiguousarray(res.root_params.T)):
@@ -91,13 +86,10 @@ def estimate_vote_probability(
     p: Callable[[np.ndarray], np.ndarray],
     n_samples: int,
     rng_seed: int,
-    max_vertices: int = DEFAULT_VERTEX_BUDGET,
     combine: Optional[Callable] = None,
 ) -> VoteEstimate:
     """Unbiased estimate of the root vote probability at (t, x): the
     one-column case of `estimate_vote_probabilities`. ``p`` maps an
     (m, dim) array of leaf positions to probabilities."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return estimate_vote_probabilities(
-        spec, kernel, x[None, :], t, [p], n_samples, rng_seed, max_vertices=max_vertices, combine=combine
-    )[0]
+    return estimate_vote_probabilities(spec, kernel, x[None, :], t, [p], n_samples, rng_seed, combine=combine)[0]

@@ -55,7 +55,6 @@ def forest_root_params(
     kernel: Optional[ExchangeableKernel],
     n_samples: int,
     rng: np.random.Generator,
-    max_vertices: int = DEFAULT_VERTEX_BUDGET,
     combine: Optional[Callable] = None,
 ) -> ForestResult:
     """Exact per-tree root vote parameters for K columns of one ensemble.
@@ -69,7 +68,7 @@ def forest_root_params(
     ``combine_params``; it receives (child_params (m, N0), the wave's
     ``spec.decoration_fn`` rows or None) and returns m parameters; it
     must be pure too. Decorations reach nothing else. The vertex budget
-    is that of one start, whatever K is.
+    is ``DEFAULT_VERTEX_BUDGET`` for one start, whatever K is.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] != spec.dim or not np.isfinite(starts).all():
@@ -80,7 +79,7 @@ def forest_root_params(
     if kernel is None and combine is None:
         raise ArgumentError("a voting kernel or a forest combiner is required")
 
-    waves, total, total_leaves = grow_waves(spec, starts[0], t, n_samples, rng, max_vertices)
+    waves, total, total_leaves = grow_waves(spec, starts[0], t, n_samples, rng, DEFAULT_VERTEX_BUDGET)
     max_depth = len(waves) - 1
     shifts = starts - starts[0]
 

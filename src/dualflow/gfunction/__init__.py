@@ -14,12 +14,10 @@ from .gfun import (
     verify_g_axioms,
 )
 from .nlv import (
-    MarkedPartition,
     nlv_rate_flags,
     nlv_kernel,
     nlv_polynomial_g,
     g_pi_batch,
-    singleton_partition,
 )
 from .coalescence import (
     gbar,
@@ -35,11 +33,9 @@ __all__ = [
     "iterate_g",
     "find_fixed_points",
     "verify_g_axioms",
-    "MarkedPartition",
     "nlv_rate_flags",
     "nlv_kernel",
     "nlv_polynomial_g",
     "g_pi_batch",
-    "singleton_partition",
     "gbar",
 ]

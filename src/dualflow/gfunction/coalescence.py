@@ -4,9 +4,10 @@ Walkers perform independent continuous-time simple random walks on the
 integer lattice (total jump rate ``jump_rate`` each, uniform over the 2d
 nearest neighbours) and merge whenever a jump lands on an occupied site.
 The partition of the starting indices by merged-cluster membership,
-with a uniformly chosen marked representative per block, is the object
-of interest: its distribution weights the per-partition g-functions
-into the effective g of the nonlinear voter model.
+with a uniformly chosen mark per block (`mark_blocks`, which writes it
+as a copy map), is the object of interest: its distribution weights the
+per-copy-map g-functions into the effective g of the nonlinear voter
+model.
 
 The walk is simulated pass by pass on compact arrays that hold only the
 samples still running, and each pass leaps: a sample whose active
@@ -26,21 +27,18 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ArgumentError
 from ..rng import derive_rng
 from .gfun import GFunction
-from .nlv import (
-    MarkedPartition,
-    g_pi_batch,
-    g_pi_univariate_coeffs,
-)
+from .nlv import g_pi_batch, g_pi_univariate_coeffs, partition_label
 
 __all__ = [
     "sample_coalescent_partitions",
+    "mark_blocks",
     "gbar",
 ]
 
@@ -297,25 +295,12 @@ def _singleton_fraction(rep: np.ndarray) -> float:
     return float(np.mean(np.all(rep == np.arange(m)[None, :], axis=1)))
 
 
-def _labels_to_partition(labels: np.ndarray, rng: np.random.Generator) -> MarkedPartition:
-    # canonical labels copy each block's smallest member; the marks are redrawn
-    blocks = MarkedPartition.from_copy_map(tuple(labels.tolist())).blocks
-    return MarkedPartition(blocks, tuple(b[rng.integers(0, len(b))] for b in blocks))
-
-
-def _partition_frequencies(
-    rep: np.ndarray, rng: np.random.Generator
-) -> tuple[dict[MarkedPartition, float], dict[MarkedPartition, float]]:
-    """Empirical marked-partition weights of the label rows, with their
-    binomial standard errors; marks are drawn row by row."""
-    n = rep.shape[0]
-    counts: dict[MarkedPartition, int] = {}
-    for s in range(n):
-        part = _labels_to_partition(rep[s], rng)
-        counts[part] = counts.get(part, 0) + 1
-    weights = {p: c / n for p, c in counts.items()}
-    stderr = {p: math.sqrt(w * (1.0 - w) / n) for p, w in weights.items()}
-    return weights, stderr
+def mark_blocks(rep: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(n, m) copy maps of (n, m) cluster label rows: every member of a
+    block copies the block's mark, its member with the largest uniform
+    key, so each member is the mark with equal probability."""
+    keys = np.where(rep[:, :, None] == rep[:, None, :], rng.random(rep.shape)[:, None, :], -1.0)
+    return keys.argmax(axis=2)
 
 
 def sample_box_offsets(
@@ -359,37 +344,35 @@ def gbar(
     a4: float,
     n_samples: int,
     rng_seed: int,
-    jump_rate: Optional[float] = None,
 ) -> GFunction:
-    """Effective g: coalescence-weighted average of the partition g's.
+    """Effective g: coalescence-weighted average of the copy-map g's.
 
     Offspring offsets are drawn from the box measure (origin plus four
-    distinct sites of [-L, L]^dim), coalescing walks are run to the
-    horizon, and every marked partition contributes its g^pi weighted
-    by its empirical frequency: the coefficients of g are the weighted
-    sum of the g^pi coefficients, and the multivariate form the weighted
-    sum of the g^pi. The metadata records the weights, their standard
-    errors and the coefficients (``poly_coeffs``).
+    distinct sites of [-L, L]^dim), coalescing walks at jump rate dim
+    are run to the horizon, their blocks are marked by `mark_blocks` as
+    the NLV decoration marks them, and every copy map contributes its
+    g^c weighted by its empirical frequency: the coefficients of g are
+    the weighted sum of the g^c coefficients, and the multivariate form
+    the weighted sum of the g^c. The metadata records the weights and
+    their binomial standard errors, keyed by `partition_label`, and the
+    coefficients (``poly_coeffs``).
     """
     if L < 1:
         raise ArgumentError("box half-width L must be >= 1")
-    if jump_rate is None:
-        jump_rate = float(dim)
     rng = derive_rng(rng_seed, 0x6BA2)
     starts = sample_box_offsets(L, dim, n_samples, rng)
-    rep, eff_horizon, notes = sample_coalescent_partitions(starts, dim, horizon, jump_rate, n_samples, rng)
-    weights, stderr = _partition_frequencies(rep, rng)
-
-    coeffs = np.zeros(6)
-    for part, w in weights.items():
-        c = g_pi_univariate_coeffs(part, a1, a2, a3, a4)
-        coeffs[: len(c)] += w * c
-    parts = list(weights)
-    wvec = np.array([weights[p] for p in parts])
+    rep, eff_horizon, notes = sample_coalescent_partitions(starts, dim, horizon, float(dim), n_samples, rng)
+    maps, counts = np.unique(mark_blocks(rep, rng), axis=0, return_counts=True)
+    weights = counts / n_samples
+    stderr = np.sqrt(weights * (1.0 - weights) / n_samples)
+    # weights @ (one row of g^c coefficients per map), summed row by row in
+    # order, so the rounding does not depend on the BLAS build
+    coeffs = (weights[:, None] * np.array([g_pi_univariate_coeffs(c, a1, a2, a3, a4) for c in maps])).sum(axis=0)
 
     def multivariate(rows):
-        return wvec @ np.array([g_pi_batch(part, rows, a1, a2, a3, a4) for part in parts])
+        return weights @ np.array([g_pi_batch(c, rows, a1, a2, a3, a4) for c in maps])
 
+    labels = [partition_label(c) for c in maps]
     meta = {
         "rates": {"a1": a1, "a2": a2, "a3": a3, "a4": a4},
         "L": L,
@@ -397,10 +380,9 @@ def gbar(
         "horizon": horizon,
         "effective_horizon": eff_horizon,
         "poly_coeffs": coeffs.tolist(),
-        "weights": {str(p): w for p, w in weights.items()},
-        "weight_stderr": {str(p): e for p, e in stderr.items()},
+        "weights": dict(zip(labels, weights.tolist())),
+        "weight_stderr": dict(zip(labels, stderr.tolist())),
         "n_samples": n_samples,
         "notes": notes,
     }
     return GFunction(5, coeffs, multivariate, label=f"gbar(L={L})", metadata=meta)
-

@@ -8,11 +8,14 @@ g is the quintic
     g(p) = (4a1-a4) p(1-p)^4 + (6a2-4a3) p^2(1-p)^3
            - (6a2-4a3) p^3(1-p)^2 - (4a1-a4) p^4(1-p) + p.
 
-Coalescence of siblings shortly after birth is encoded by marked
-partitions of {1..5}: every member of a block copies the vote of the
-block's marked representative. Each marked partition pi has its own
-g^pi; the effective g is their coalescence-probability-weighted average
-(see coalescence.py).
+Coalescence of siblings shortly after birth is encoded by copy maps: a
+(5,) integer vector c by which child j copies the vote of child c[j],
+with c[c[j]] = c[j]. The children that copy one child form a block, and
+that child is the block's mark, so a copy map is a marked partition of
+the five children. Each copy map c has its own g^c; the effective g is
+their coalescence-probability-weighted average (see coalescence.py).
+``partition_label`` writes a map as "1*2|3*|4*|5*" (1-based blocks by
+smallest member, the mark starred) and ``parse_partition`` reads it.
 
 Bistability phase flags: with A = 4a1-a4 and B = 6a2-4a3, the interior
 bistable regime requires A > 0, 3A + B < 0 and 6A + B > 0 together with
@@ -21,8 +24,7 @@ monotone levels 0 <= a1 <= a2 <= 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import re
 
 import numpy as np
 
@@ -31,7 +33,9 @@ from .gfun import GFunction, kernel_g
 from .kernels import ExchangeableKernel
 
 __all__ = [
-    "MarkedPartition",
+    "check_copy_map",
+    "partition_label",
+    "parse_partition",
     "nlv_rate_flags",
     "nlv_kernel",
     "nlv_polynomial_g",
@@ -39,85 +43,49 @@ __all__ = [
     "g_pi_univariate_coeffs",
 ]
 
-N_VOTERS = 5
 _DIAGONAL_TOL = 1e-12  # kernel diagonal vs quintic coefficients: 2.2e-15 on balance
 
 
-@dataclass(frozen=True)
-class MarkedPartition:
-    """Partition of {1..n} with one marked representative per block.
-
-    ``blocks`` are tuples of sorted member indices (1-based), ordered by
-    their smallest element; ``marks[j]`` is the marked member of block j.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    marks: tuple[int, ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block, mark in zip(self.blocks, self.marks):
-            if not block or list(block) != sorted(block):
-                raise ArgumentError(f"malformed block {block}")
-            if mark not in block:
-                raise ArgumentError(f"mark {mark} outside its block {block}")
-            if seen & set(block):
-                raise ArgumentError("overlapping blocks")
-            seen |= set(block)
-        if len(self.blocks) != len(self.marks):
-            raise ArgumentError("one mark per block required")
-        mins = [b[0] for b in self.blocks]
-        if mins != sorted(mins):
-            raise ArgumentError("blocks must be ordered by smallest element")
-        object.__setattr__(self, "_members", frozenset(seen))
-
-    @property
-    def n(self) -> int:
-        return len(self._members)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def __str__(self):
-        parts = []
-        for block, mark in zip(self.blocks, self.marks):
-            parts.append("".join(f"{i}*" if i == mark else f"{i}" for i in block))
-        return "|".join(parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "MarkedPartition":
-        blocks, marks = [], []
-        for part in text.split("|"):
-            members, mark = [], None
-            i = 0
-            while i < len(part):
-                val = int(part[i])
-                if i + 1 < len(part) and part[i + 1] == "*":
-                    mark = val
-                    i += 2
-                else:
-                    i += 1
-                members.append(val)
-            if mark is None:
-                raise ArgumentError(f"block {part!r} has no mark")
-            blocks.append(tuple(sorted(members)))
-            marks.append(mark)
-        order = np.argsort([b[0] for b in blocks])
-        return cls(tuple(blocks[i] for i in order), tuple(marks[i] for i in order))
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def from_copy_map(cls, copy_map: tuple[int, ...]) -> "MarkedPartition":
-        """Member j + 1 copies member copy_map[j] + 1; a map with
-        c[c[j]] != c[j] puts a mark outside its block and is refused."""
-        marks = tuple(dict.fromkeys(copy_map))  # in order of each block's smallest member
-        blocks = tuple(tuple(j + 1 for j, c in enumerate(copy_map) if c == mark) for mark in marks)
-        return cls(blocks, tuple(mark + 1 for mark in marks))
+def check_copy_map(copy_map) -> np.ndarray:
+    """The copy map as an integer array. Refuses an empty map, an entry
+    outside range(len(c)), and a map with c[c[j]] != c[j], whose mark
+    would lie outside its own block."""
+    c = np.asarray(copy_map)
+    if c.ndim != 1 or c.size == 0 or c.dtype.kind not in "iu":
+        raise ArgumentError(f"a copy map is a nonempty vector of child indices, got {copy_map!r}")
+    if c.min() < 0 or c.max() >= c.size or not np.array_equal(c[c], c):
+        raise ArgumentError(f"{c.tolist()} is not a copy map: c[j] must be in range and c[c[j]] = c[j]")
+    return c.astype(np.intp, copy=False)
 
 
-def singleton_partition(n: int = N_VOTERS) -> MarkedPartition:
-    return MarkedPartition(tuple((i,) for i in range(1, n + 1)), tuple(range(1, n + 1)))
+def _blocks(copy_map) -> tuple[np.ndarray, np.ndarray]:
+    """Marks and sizes of the blocks, ordered by their smallest member."""
+    c = check_copy_map(copy_map)
+    marks = np.array(list(dict.fromkeys(c.tolist())))  # first seen at each block's smallest member
+    return marks, np.bincount(c, minlength=c.size)[marks]
+
+
+def partition_label(copy_map) -> str:
+    """The label "1*2|3*|4*|5*": 1-based blocks by smallest member, the mark starred."""
+    c = check_copy_map(copy_map).tolist()
+    return "|".join(
+        "".join(f"{j + 1}*" if j == mark else f"{j + 1}" for j, cj in enumerate(c) if cj == mark)
+        for mark in dict.fromkeys(c)
+    )
+
+
+def parse_partition(label: str) -> np.ndarray:
+    """The copy map of a `partition_label`; every member in one block, one mark per block."""
+    copy: dict[int, int] = {}
+    for block in label.split("|"):
+        if not re.fullmatch(r"([1-9]\*?)+", block) or block.count("*") != 1:
+            raise ArgumentError(f"block {block!r} of {label!r} needs digits and one starred mark")
+        mark = int(block[block.index("*") - 1]) - 1
+        for member in block.replace("*", ""):
+            if int(member) - 1 in copy:
+                raise ArgumentError(f"member {member} appears twice in {label!r}")
+            copy[int(member) - 1] = mark
+    return check_copy_map([copy.get(j, -1) for j in range(len(copy))])
 
 
 def nlv_rate_flags(a1: float, a2: float, a3: float, a4: float) -> dict[str, bool]:
@@ -170,51 +138,52 @@ def nlv_polynomial_g(a1: float, a2: float, a3: float, a4: float) -> GFunction:
 
 
 def g_pi_batch(
-    partition: MarkedPartition,
+    copy_map,
     probs: np.ndarray,
     a1: float,
     a2: float,
     a3: float,
     a4: float,
 ) -> np.ndarray:
-    """E[Theta_pi(V_1..V_5)] row-wise, for an (m, 5) matrix of
-    independent Bernoulli vote probabilities.
+    """E[Theta_c(V_1..V_5)] row-wise, for an (m, 5) matrix of
+    independent Bernoulli vote probabilities and a copy map c.
 
-    Exact enumeration over the marked representatives' votes: members of
-    a block contribute through their representative only, so 2**n_blocks
-    terms, weighed at once and summed in pattern order, suffice. For the
-    singleton partition this reduces, term by term, to the raw kernel's
-    ``combine_params``.
+    Exact enumeration over the marks' votes: members of a block
+    contribute through their mark only, so 2**n_blocks terms, weighed at
+    once and summed in pattern order (block j is bit j, blocks by
+    smallest member), suffice. For the identity map this reduces, term
+    by term, to the raw kernel's ``combine_params``.
     """
+    marks, sizes = _blocks(copy_map)
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 2 or probs.shape[1] != partition.n:
-        raise ArgumentError(f"expected rows of {partition.n} probabilities, got shape {probs.shape}")
+    if probs.ndim != 2 or probs.shape[1] != sizes.sum():
+        raise ArgumentError(f"expected rows of {sizes.sum()} probabilities, got shape {probs.shape}")
     if np.any(probs < 0) or np.any(probs > 1):
         raise ArgumentError("probabilities must lie in [0,1]")
     levels = np.array([0.0, a1, a2, a3, a4, 1.0])
-    nb = partition.n_blocks
+    nb = marks.size
     votes = (np.arange(2**nb)[:, None] >> np.arange(nb)) & 1  # (patterns, blocks)
     weight = np.ones((probs.shape[0], 2**nb))
-    for j, mark in enumerate(partition.marks):
-        pm = probs[:, mark - 1 : mark]
+    for j, mark in enumerate(marks):
+        pm = probs[:, mark : mark + 1]
         weight = weight * np.where(votes[:, j], pm, 1.0 - pm)
-    k = votes @ np.array([len(block) for block in partition.blocks])
+    k = votes @ sizes
     # accumulate is sequential, so each row sums its terms in pattern order
     return np.add.accumulate(levels[k] * weight, axis=1)[:, -1]
 
 
-def g_pi_univariate_coeffs(partition: MarkedPartition, a1, a2, a3, a4) -> np.ndarray:
-    """Coefficients (ascending powers) of the univariate g^pi polynomial.
+def g_pi_univariate_coeffs(copy_map, a1, a2, a3, a4) -> np.ndarray:
+    """Coefficients (ascending powers) of the univariate g^c polynomial.
 
     With equal inputs p, each block contributes a Bernoulli(p) factor, so
-    g^pi(p) = sum over block-vote vectors w of p^{|w|}(1-p)^{m-|w|} a_{k(w)}
+    g^c(p) = sum over block-vote vectors w of p^{|w|}(1-p)^{m-|w|} a_{k(w)}
     with k(w) the total size of blocks voting one: a polynomial of degree
-    n_blocks.
+    n_blocks, returned zero-padded to len(c) + 1 coefficients.
     """
     levels = np.array([0.0, a1, a2, a3, a4, 1.0])
-    m = partition.n_blocks
-    sizes = [len(b) for b in partition.blocks]
-    poly = np.zeros(m + 1)
+    _, sizes = _blocks(copy_map)
+    m = sizes.size
+    poly = np.zeros(sizes.sum() + 1)
     p = np.polynomial.polynomial
     for pattern in range(2**m):
         ones = [(pattern >> j) & 1 for j in range(m)]

@@ -17,12 +17,18 @@ import numpy as np
 
 from .errors import ArgumentError, ResourceError
 from .dualtree.tree import BranchingSpec
-from .gfunction.coalescence import gbar, sample_box_offsets, sample_coalescent_partitions
+from .gfunction.coalescence import (
+    _singleton_fraction,
+    gbar,
+    mark_blocks,
+    sample_box_offsets,
+    sample_coalescent_partitions,
+)
 # find_fixed_points is no longer called here but stays importable as
 # dualflow.models.find_fixed_points, where the perfbench tracer wraps it
 from .gfunction.gfun import GFunction, find_fixed_points, kernel_g, verify_g_axioms  # noqa: F401
 from .gfunction.kernels import ExchangeableKernel, majority_kernel
-from .gfunction.nlv import MarkedPartition, g_pi_batch, nlv_rate_flags
+from .gfunction.nlv import g_pi_batch, nlv_rate_flags
 from .rng import derive_rng
 
 __all__ = [
@@ -281,8 +287,7 @@ def _lv_p3(L: int, dim: int, n_samples: int, seed: int) -> float:
     rep, _, _ = sample_coalescent_partitions(
         starts, dim, math.inf, float(dim), n_samples, rng
     )
-    singleton = np.all(rep == np.arange(3)[None, :], axis=1)
-    return float(np.mean(singleton))
+    return _singleton_fraction(rep)
 
 
 def lotka_volterra_dual(
@@ -363,12 +368,12 @@ def nonlinear_voter_dual(
 
     Offspring are the parent site plus four distinct uniform box sites.
     An event's decoration is its children's marked coalescence partition,
-    walked from their lattice displacements during growth with a uniform
-    mark per block: the (5,) copy map c by which child j copies child
-    c[j]. The bundle has no voting kernel: the pure ``combine`` applies
-    each vertex's g^pi. The bundle's g is the effective
-    (coalescence-weighted) g at this L and horizon, with equilibria
-    located on it.
+    walked from their lattice displacements during growth and marked by
+    `mark_blocks`, as `gbar` marks its samples: the (5,) copy map c by
+    which child j copies child c[j]. The bundle has no voting kernel: the
+    pure ``combine`` applies each vertex's g^c. The bundle's g is the
+    effective (coalescence-weighted) g at this L and horizon, with
+    equilibria located on it.
     """
     if L < 1:
         raise ArgumentError("box half-width L must be >= 1")
@@ -400,18 +405,15 @@ def nonlinear_voter_dual(
         """Each event's marked sibling coalescence partition, as a copy map."""
         xi = np.rint((offspring - parents[:, None, :]) / mesh).astype(np.int64)
         rep, _, _ = sample_coalescent_partitions(xi, dim, coalescence_horizon, float(dim), xi.shape[0], rng)
-        # the mark of a block is its member with the largest uniform key
-        keys = np.where(rep[:, :, None] == rep[:, None, :], rng.random(rep.shape)[:, None, :], -1.0)
-        return keys.argmax(axis=2)
+        return mark_blocks(rep, rng)
 
     def combine(child_params: np.ndarray, copy_maps: np.ndarray):
-        """g^pi of each vertex's partition, one g_pi_batch per distinct copy map."""
+        """g^c of each vertex's copy map c, one g_pi_batch per distinct map."""
         maps, group = np.unique(copy_maps, axis=0, return_inverse=True)
         out = np.empty(child_params.shape[0])
-        for i, copy_map in enumerate(maps.tolist()):
+        for i, copy_map in enumerate(maps):
             rows = group == i
-            part = MarkedPartition.from_copy_map(tuple(copy_map))
-            out[rows] = g_pi_batch(part, child_params[rows], a1, a2, a3, a4)
+            out[rows] = g_pi_batch(copy_map, child_params[rows], a1, a2, a3, a4)
         return out
 
     spec = BranchingSpec(

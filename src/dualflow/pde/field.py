@@ -1,4 +1,4 @@
-"""Dense scalar fields on regular grids, with binary and CSV export."""
+"""Dense scalar fields on regular grids, with a binary serialisation."""
 
 from __future__ import annotations
 
@@ -163,15 +163,6 @@ class ScalarField:
         count = int(np.prod(extents))
         values = np.frombuffer(buf.read(8 * count), dtype="<f8").reshape(extents).copy()
         return cls(dim, origin, spacing, values, time_stamp)
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "ScalarField":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
 
 
 def field_from_function(

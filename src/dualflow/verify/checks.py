@@ -67,7 +67,6 @@ def bundle_estimate(
     p: Callable[[np.ndarray], np.ndarray],
     n_samples: int,
     rng_seed: int,
-    max_vertices: int = 10_000_000,
 ) -> VoteEstimate:
     """estimate_vote_probability specialized to a model bundle: the
     one-column case of `bundle_estimates`."""
@@ -79,7 +78,6 @@ def bundle_estimate(
         p,
         n_samples,
         rng_seed,
-        max_vertices=max_vertices,
         combine=bundle.combine,
     )
 
@@ -91,7 +89,6 @@ def bundle_estimates(
     ps: Sequence[Callable[[np.ndarray], np.ndarray]],
     n_samples: int,
     rng_seed: int,
-    max_vertices: int = 10_000_000,
 ) -> list[VoteEstimate]:
     """estimate_vote_probabilities specialized to a model bundle: one
     forest grown from xs[0], one estimate per column (xs[k], ps[k]).
@@ -105,7 +102,6 @@ def bundle_estimates(
         ps,
         n_samples,
         rng_seed,
-        max_vertices=max_vertices,
         combine=bundle.combine,
     )
 
@@ -155,35 +151,16 @@ def _field_phase_profile(phi: ScalarField, low: float, high: float, zero_is_low:
     return p
 
 
-def plus_phase_profile(
-    phi: Callable[[np.ndarray], np.ndarray] | ScalarField,
-    delta: float,
-    a: float,
-    b: float,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """(a + delta) where phi <= 0, b where phi > 0; a ScalarField is read
-    through its multilinear interpolant."""
-    if isinstance(phi, ScalarField):
-        return _field_phase_profile(phi, a + delta, b, zero_is_low=True)
-
-    def p(points: np.ndarray) -> np.ndarray:
-        vals = np.asarray(phi(np.atleast_2d(points)))
-        return np.where(vals <= 0.0, a + delta, b)
-
-    return p
+def plus_phase_profile(phi: ScalarField, delta: float, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
+    """(a + delta) where phi <= 0, b where phi > 0, phi read through its
+    multilinear interpolant."""
+    return _field_phase_profile(phi, a + delta, b, zero_is_low=True)
 
 
-def minus_phase_profile(phi, delta: float, a: float, b: float):
-    """(b - delta) where phi >= 0, a where phi < 0; a ScalarField is read
-    through its multilinear interpolant."""
-    if isinstance(phi, ScalarField):
-        return _field_phase_profile(phi, a, b - delta, zero_is_low=False)
-
-    def p(points: np.ndarray) -> np.ndarray:
-        vals = np.asarray(phi(np.atleast_2d(points)))
-        return np.where(vals >= 0.0, b - delta, a)
-
-    return p
+def minus_phase_profile(phi: ScalarField, delta: float, a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
+    """(b - delta) where phi >= 0, a where phi < 0, phi read through its
+    multilinear interpolant."""
+    return _field_phase_profile(phi, a, b - delta, zero_is_low=False)
 
 
 # ----- (J1) semigroup -----

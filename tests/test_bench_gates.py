@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
     "ternary_interface": "d50a15ebf2594306",
-    "nlv_coalescence": "56f3ef2d838c1435",
+    "nlv_coalescence": "0cc679f606744c83",
     "curvature_pde": "d9f3b7a3adbdda35",
 }
 

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from dualflow.errors import ArgumentError
-from dualflow.gfunction import gbar, singleton_partition
+from dualflow.gfunction import gbar
 from dualflow.gfunction.coalescence import (
     _MAX_LEAP,
     _merge_initial_coincidences,
-    _partition_frequencies,
     _run_coalescing,
+    mark_blocks,
     sample_box_offsets,
     sample_coalescent_partitions,
 )
+from dualflow.gfunction.nlv import partition_label
 from dualflow.models import nonlinear_voter_dual
 from dualflow.rng import derive_rng
 
@@ -31,16 +32,24 @@ from conftest import NLV_RATES
 ADJACENT_MERGE_WEIGHT = 0.3351
 
 
+def _copy_map_frequencies(rep, rng):
+    """Weights and binomial stderrs of the copy maps `mark_blocks` draws
+    from the label rows, keyed by their labels."""
+    maps, counts = np.unique(mark_blocks(rep, rng), axis=0, return_counts=True)
+    weights = {partition_label(c): k / rep.shape[0] for c, k in zip(maps, counts)}
+    return weights, {p: math.sqrt(w * (1.0 - w) / rep.shape[0]) for p, w in weights.items()}
+
+
 def _partition_weights(start, horizon, n_samples, seed):
-    """Marked-partition weights and binomial stderrs of 3-D coalescing
-    walks (jump rate 3) from ``start``, marks drawn on the walks' stream."""
+    """Copy-map weights and binomial stderrs of 3-D coalescing walks
+    (jump rate 3) from ``start``, marks drawn on the walks' stream."""
     rng = derive_rng(seed, 0xC0A1)
     rep, _, _ = sample_coalescent_partitions(start, 3, horizon, 3.0, n_samples, rng)
-    return _partition_frequencies(rep, rng)
+    return _copy_map_frequencies(rep, rng)
 
 
 def _singleton_weight(weights, m):
-    return weights.get(singleton_partition(m), 0.0)
+    return weights.get(partition_label(range(m)), 0.0)
 
 
 class TestPartitionDistribution:
@@ -50,7 +59,7 @@ class TestPartitionDistribution:
 
     def test_identical_starts_already_merged(self):
         weights, stderr = _partition_weights([[1, 2, 3], [1, 2, 3]], 1.0, 800, 42)
-        merged = [p for p in weights if p.n_blocks == 1]
+        merged = [p for p in weights if "|" not in p]
         assert sum(weights[p] for p in merged) == 1.0
         # marks are uniform within the block
         w = [weights[p] for p in merged]
@@ -80,6 +89,18 @@ class TestPartitionDistribution:
     def test_zero_samples_rejected(self):
         with pytest.raises(ArgumentError):
             _partition_weights([[0, 0, 0]], 1.0, 0, 1)
+
+
+def test_mark_blocks_marks_each_member_uniformly():
+    # 30,000 rows with the block {1, 3, 5} and two singletons: every member
+    # of the block is its mark a third of the time, within 4 sigma
+    n = 30_000
+    maps = mark_blocks(np.tile([0, 1, 0, 3, 0], (n, 1)), np.random.default_rng(8))
+    assert maps.shape == (n, 5)
+    assert np.array_equal(maps[:, [1, 3]], np.tile([1, 3], (n, 1)))
+    assert np.array_equal(maps[:, [0, 2, 4]], np.repeat(maps[:, :1], 3, axis=1))
+    freq = np.bincount(maps[:, 0], minlength=5)[[0, 2, 4]] / n
+    assert np.max(np.abs(freq - 1 / 3)) <= 4 * math.sqrt(2 / 9 / n), freq
 
 
 class TestGbar:
@@ -419,7 +440,7 @@ def test_box_starts_law_matches_reference(m, horizons):
         counts = [_block_counts(rep) for _, rep, _ in states]
         z = [_pooled_z(a, b, n) for a, b in zip(*counts)]
         assert max(map(abs, z)) <= 4.0, (horizon, z)
-    freq = [_partition_frequencies(rep, np.random.default_rng(5))[0] for _, rep, _ in states]
+    freq = [_copy_map_frequencies(rep, np.random.default_rng(5))[0] for _, rep, _ in states]
     z = [_pooled_z(freq[0].get(p, 0.0) * n, freq[1].get(p, 0.0) * n, n) for p in set(freq[0]) | set(freq[1])]
     assert max(map(abs, z)) <= 4.0, max(z, key=abs)
 

@@ -13,7 +13,6 @@ from dualflow.gfunction import (
     ExchangeableKernel,
     GAxiomReport,
     GFunction,
-    MarkedPartition,
     find_fixed_points,
     g_pi_batch,
     gbar,
@@ -24,6 +23,7 @@ from dualflow.gfunction import (
     nlv_polynomial_g,
     verify_g_axioms,
 )
+from dualflow.gfunction.nlv import parse_partition
 from dualflow.models import SR_THETA_LEVELS
 
 from conftest import NLV_RATES, hand_majority_cubic
@@ -240,7 +240,7 @@ class TestPolynomialForm:
             g = gbar(2, 3, math.inf, n_samples=200, rng_seed=11, **NLV_RATES)
             diag = np.repeat(ps[:, None], 5, axis=1)
             reference = sum(
-                w * g_pi_batch(MarkedPartition.parse(part), diag, **NLV_RATES) for part, w in g.metadata["weights"].items()
+                w * g_pi_batch(parse_partition(label), diag, **NLV_RATES) for label, w in g.metadata["weights"].items()
             )
         else:
             g, kern = {

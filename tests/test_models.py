@@ -21,7 +21,7 @@ from dualflow.rng import derive_rng
 from dualflow.verify.checks import bundle_estimate
 
 from conftest import NLV_RATES
-from test_nlv import _copy_map, _marked_partitions
+from test_nlv import _copy_maps
 
 SLFV_ARGS = dict(n=1000.0, beta=0.25, R=1.0, mu_radius_weights=[(0.5, 0.5), (1.0, 0.5)], epsilon_n=0.3, dim=2)
 
@@ -202,17 +202,35 @@ class TestNonlinearVoter:
         # rows whose copy maps cover every marked partition, twice, interleaved
         b = bundles["nlv"]
         assert len(inspect.signature(b.combine).parameters) == 2
-        parts = _marked_partitions(5) * 2
-        maps = np.array([_copy_map(part) for part in parts])
+        maps = np.array(_copy_maps(5) * 2)
         rng = np.random.default_rng(17)
-        order = rng.permutation(len(parts))
-        probs = rng.uniform(0.0, 1.0, (len(parts), 5))
-        out = b.combine(probs, maps[order])
-        assert np.array_equal(out, b.combine(probs, maps[order]))
-        for part, row, value in zip([parts[i] for i in order], probs, out):
-            assert abs(value - g_pi_batch(part, row[None, :], **NLV_RATES)[0]) <= 1e-15
-        identity = np.tile(np.arange(5), (len(parts), 1))
+        maps = maps[rng.permutation(len(maps))]
+        probs = rng.uniform(0.0, 1.0, (len(maps), 5))
+        out = b.combine(probs, maps)
+        assert np.array_equal(out, b.combine(probs, maps))
+        for copy_map, row, value in zip(maps, probs, out):
+            assert abs(value - g_pi_batch(copy_map, row[None, :], **NLV_RATES)[0]) <= 1e-15
+        identity = np.tile(np.arange(5), (len(maps), 1))
         assert np.max(np.abs(b.combine(probs, identity) - nlv_kernel(**NLV_RATES).combine_params(probs))) <= 1e-15
+
+    def test_gbar_and_decoration_share_one_marking(self, monkeypatch):
+        import dualflow.gfunction.coalescence as coalescence
+        import dualflow.models as models
+
+        assert models.mark_blocks is coalescence.mark_blocks
+        mark, calls = coalescence.mark_blocks, []
+
+        def spy(caller):
+            return lambda rep, rng: calls.append((caller, rep.shape)) or mark(rep, rng)
+
+        monkeypatch.setattr(coalescence, "mark_blocks", spy("gbar"))
+        monkeypatch.setattr(models, "mark_blocks", spy("decoration"))
+        b = nonlinear_voter_dual(0.5, L=2, dim=3, gbar_samples=200, **NLV_RATES)
+        assert calls == [("gbar", (200, 5))]
+        calls.clear()
+        leaf = lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0)
+        estimate_vote_probability(b.spec, None, [0.0, 0.0, 0.0], 0.2, leaf, 30, 4, combine=b.combine)
+        assert calls and {caller for caller, _ in calls} == {"decoration"}
 
     def test_non_monotone_rates_build_and_flag(self):
         b = nonlinear_voter_dual(
