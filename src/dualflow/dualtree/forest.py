@@ -67,8 +67,9 @@ def forest_root_params(
     gets them read-only. ``combine`` replaces the kernel's
     ``combine_params``; it receives (child_params (m, N0), the wave's
     ``spec.decoration_fn`` rows or None) and returns m parameters; it
-    must be pure too. Decorations reach nothing else. The vertex budget
-    is ``DEFAULT_VERTEX_BUDGET`` for one start, whatever K is.
+    must be pure too. Only a forest with ``combine`` draws decorations.
+    The vertex budget is ``DEFAULT_VERTEX_BUDGET`` for one start,
+    whatever K is.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] != spec.dim or not np.isfinite(starts).all():
@@ -79,7 +80,9 @@ def forest_root_params(
     if kernel is None and combine is None:
         raise ArgumentError("a voting kernel or a forest combiner is required")
 
-    waves, total, total_leaves = grow_waves(spec, starts[0], t, n_samples, rng, DEFAULT_VERTEX_BUDGET)
+    waves, total, total_leaves = grow_waves(
+        spec, starts[0], t, n_samples, rng, DEFAULT_VERTEX_BUDGET, decorate=combine is not None
+    )
     max_depth = len(waves) - 1
     shifts = starts - starts[0]
 

@@ -56,9 +56,10 @@ class BranchingSpec:
     maps (n, dim) branch locations to (n, n_children, dim) offspring
     positions. Both must be vectorized over the leading axis.
     ``decoration_fn(parents, offspring, rng)``, when set, returns an array
-    with one row per branching event (leading axis n). Growth draws it
-    once per wave, so combiners stay pure; the rows reach only the
-    model's forest combiner and a genealogy's wave arrays.
+    with one row per branching event (leading axis n). A forest voted
+    through the model's combiner, the only reader of the rows, draws it
+    once per wave as it grows, so the combiner stays pure; other growth
+    draws none.
     """
 
     dim: int
@@ -111,13 +112,15 @@ def grow_waves(
     rng: np.random.Generator,
     max_vertices: int,
     genealogy: bool = False,
+    decorate: bool = False,
 ) -> tuple[list[Wave], int, int]:
     """Grow n_roots independent genealogies from x0 to the horizon t.
 
     Per wave, in this order, the loop draws the lifetimes, the leaves'
     motion to the horizon, the internal vertices' motion to their deaths,
-    the dispersal and the decorations, and keeps the leaf positions.
-    ``genealogy`` also keeps birth, death and internal positions at death.
+    the dispersal and, with ``decorate``, the decorations, and keeps the
+    leaf positions. ``genealogy`` also keeps birth, death and internal
+    positions at death.
 
     A start that is not a finite point of dimension ``spec.dim``, a
     horizon that is not finite and >= 0, or a root count that is not an
@@ -170,7 +173,7 @@ def grow_waves(
             ilife = lifetimes.take(internal_rows)
             at_death = spec.motion(positions.take(internal_rows, axis=0), ilife, rng)
             offspring = spec.dispersal(at_death, rng)  # (m, n0, dim)
-            if spec.decoration_fn is not None:
+            if decorate and spec.decoration_fn is not None:
                 wave.decorations = spec.decoration_fn(at_death, offspring, rng)
             if genealogy:
                 wave.at_death = at_death

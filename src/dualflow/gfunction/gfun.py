@@ -34,6 +34,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ..errors import ArgumentError
+from ..rng import derive_rng
 from .kernels import ExchangeableKernel
 
 __all__ = [
@@ -49,6 +50,8 @@ __all__ = [
 _PLATEAU_BOUND = 1e-13  # sum |coefficient| of g(p) - p below which it vanishes identically
 _IMAG_TOL = 1e-7  # a double root splits into a pair about sqrt(eps) off the real axis
 _NEWTON_STEPS = 4
+_AXIOM_TOL = 1e-8  # fixed-point and symmetry tolerance of the axiom scan
+_AXIOM_GRID_N = 512  # the g3 derivative sign is scanned on (0, 1) at spacing 1/_AXIOM_GRID_N
 
 
 @dataclass
@@ -257,7 +260,7 @@ def find_fixed_points(g: GFunction, tol: float = 1e-12) -> FixedPoints:
     return FixedPoints(merged)
 
 
-def verify_g_axioms(g: GFunction, tol: float = 1e-8, grid_n: int = 512) -> GAxiomReport:
+def verify_g_axioms(g: GFunction) -> GAxiomReport:
     """Scan g for the bistability axioms g0-g5 and build a report.
 
     Never raises on failures: a non-monotone or degenerate g simply gets
@@ -268,7 +271,7 @@ def verify_g_axioms(g: GFunction, tol: float = 1e-8, grid_n: int = 512) -> GAxio
     |g'| < 1 - c0 at 21 points around each of a and b.
     """
     notes: list[str] = []
-    fps = find_fixed_points(g, tol=min(tol, 1e-12))
+    fps = find_fixed_points(g)
     gprime = P.polyder(g.coeffs)
     passes: dict[str, bool] = {}
 
@@ -282,10 +285,10 @@ def verify_g_axioms(g: GFunction, tol: float = 1e-8, grid_n: int = 512) -> GAxio
     a, mu, b = _classify_fixed_points(gprime, fps, notes)
     derivative_at = {name: float(P.polyval(p, gprime)) for name, p in (("a", a), ("mu", mu), ("b", b))}
 
-    interior = [p for p in fps if a - tol <= p <= b + tol]
-    sym_ok = abs((b - mu) - (mu - a)) <= max(100 * tol, 1e-8)
+    interior = [p for p in fps if a - _AXIOM_TOL <= p <= b + _AXIOM_TOL]
+    sym_ok = abs((b - mu) - (mu - a)) <= max(100 * _AXIOM_TOL, 1e-8)
     extra_ok = all(
-        p <= a + tol or p >= b - tol or abs(p - mu) <= tol for p in interior
+        p <= a + _AXIOM_TOL or p >= b - _AXIOM_TOL or abs(p - mu) <= _AXIOM_TOL for p in interior
     )
     stable_ok = (
         derivative_at["a"] < 1.0 and derivative_at["b"] < 1.0 and derivative_at["mu"] > 1.0
@@ -298,12 +301,12 @@ def verify_g_axioms(g: GFunction, tol: float = 1e-8, grid_n: int = 512) -> GAxio
     deltas = np.linspace(0.0, mu - a, 64)[1:-1] if mu > a else np.array([])
     if deltas.size:
         resid = np.abs(P.polyval(b - deltas, g.coeffs) + P.polyval(a + deltas, g.coeffs) - (a + b))
-        passes["g2"] = bool(np.max(resid) <= max(1000 * tol, 1e-7))
+        passes["g2"] = bool(np.max(resid) <= max(1000 * _AXIOM_TOL, 1e-7))
     else:
         passes["g2"] = False
 
     # g3: positive derivative throughout, expansion at mu, contraction at a and b
-    interior_grid = np.linspace(0.0, 1.0, grid_n + 1)[1:-1]
+    interior_grid = np.linspace(0.0, 1.0, _AXIOM_GRID_N + 1)[1:-1]
     passes["g3"] = bool(
         np.all(P.polyval(interior_grid, gprime) > -1e-9)
         and derivative_at["mu"] > 1.0
@@ -372,7 +375,7 @@ def _check_monotone_multivariate(g: GFunction, notes: list[str], n_samples: int 
     The pairs are the draws of a per-pair loop (p, then the step towards
     1), and all 2 n_samples rows are evaluated in one batch.
     """
-    rng = np.random.Generator(np.random.Philox(key=0xA0))
+    rng = derive_rng(0xA0)
     draws = rng.uniform(0.0, 1.0, size=(n_samples, 2, g.n_children))
     p = draws[:, 0]
     q = np.minimum(p + draws[:, 1] * (1 - p), 1.0)

@@ -24,6 +24,7 @@ monotone levels 0 <= a1 <= a2 <= 1/2.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -178,12 +179,19 @@ def g_pi_univariate_coeffs(copy_map, a1, a2, a3, a4) -> np.ndarray:
     With equal inputs p, each block contributes a Bernoulli(p) factor, so
     g^c(p) = sum over block-vote vectors w of p^{|w|}(1-p)^{m-|w|} a_{k(w)}
     with k(w) the total size of blocks voting one: a polynomial of degree
-    n_blocks, returned zero-padded to len(c) + 1 coefficients.
+    n_blocks, returned zero-padded to len(c) + 1 coefficients. It depends
+    on the ordered block sizes only, so the maps that share them share
+    one read-only array.
     """
-    levels = np.array([0.0, a1, a2, a3, a4, 1.0])
     _, sizes = _blocks(copy_map)
-    m = sizes.size
-    poly = np.zeros(sizes.sum() + 1)
+    return _univariate_coeffs(tuple(sizes.tolist()), a1, a2, a3, a4)
+
+
+@functools.lru_cache(maxsize=256)
+def _univariate_coeffs(sizes: tuple[int, ...], a1, a2, a3, a4) -> np.ndarray:
+    levels = np.array([0.0, a1, a2, a3, a4, 1.0])
+    m = len(sizes)
+    poly = np.zeros(sum(sizes) + 1)
     p = np.polynomial.polynomial
     for pattern in range(2**m):
         ones = [(pattern >> j) & 1 for j in range(m)]
@@ -192,4 +200,5 @@ def g_pi_univariate_coeffs(copy_map, a1, a2, a3, a4) -> np.ndarray:
         for w in ones:
             term = p.polymul(term, np.array([0.0, 1.0]) if w else np.array([1.0, -1.0]))
         poly[: len(term)] += term
+    poly.flags.writeable = False
     return poly

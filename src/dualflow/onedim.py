@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 WIDTH_TOL = 0.02  # plateau tolerance, in units of (b - a)
+BRANCH_GAMMA = 1.0  # branch rate of the comparison process, in units of epsilon**-2
+Z_GRID_SPAN = 5.0  # half-width of the default start-height grid, in units of epsilon |log epsilon|
 
 
 def step_profile(a: float = 0.0, b: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
@@ -47,8 +49,8 @@ def step_profile(a: float = 0.0, b: float = 1.0) -> Callable[[np.ndarray], np.nd
     return p
 
 
-def bbm1d_spec(epsilon: float, n_children: int = 3, gamma: float = 1.0) -> BranchingSpec:
-    """1-D branching Brownian motion at branch rate gamma * epsilon**-2,
+def bbm1d_spec(epsilon: float, n_children: int = 3) -> BranchingSpec:
+    """1-D branching Brownian motion at branch rate BRANCH_GAMMA * epsilon**-2,
     children born at the parent's position."""
     if epsilon <= 0:
         raise ArgumentError("epsilon must be positive")
@@ -59,7 +61,7 @@ def bbm1d_spec(epsilon: float, n_children: int = 3, gamma: float = 1.0) -> Branc
     return BranchingSpec(
         dim=1,
         n_children=n_children,
-        branch_rate=gamma * epsilon**-2,
+        branch_rate=BRANCH_GAMMA * epsilon**-2,
         motion=brownian_motion(1.0),
         dispersal=dispersal,
         label="bbm1d",
@@ -85,7 +87,6 @@ def bbm1d_vote_prob(
     a: float = 0.0,
     b: float = 1.0,
     voting_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    gamma: float = 1.0,
 ) -> VoteEstimate:
     """Vote probability of the 1-D comparison process started at z.
 
@@ -93,7 +94,7 @@ def bbm1d_vote_prob(
     ``voting_fn`` to override (e.g. a constant equilibrium function).
     """
     _require_kernel(kernel)
-    spec = bbm1d_spec(epsilon, kernel.n_children, gamma)
+    spec = bbm1d_spec(epsilon, kernel.n_children)
     p = voting_fn if voting_fn is not None else step_profile(a, b)
     return estimate_vote_probability(spec, kernel, [z], t, p, n_samples, rng_seed)
 
@@ -129,9 +130,9 @@ class InterfaceProfile:
         return "\n".join(lines) + "\n"
 
 
-def default_z_grid(epsilon: float, n_points: int = 25, span: float = 5.0) -> np.ndarray:
+def default_z_grid(epsilon: float, n_points: int = 25) -> np.ndarray:
     scale = epsilon * abs(math.log(epsilon))
-    return np.linspace(-span * scale, span * scale, n_points)
+    return np.linspace(-Z_GRID_SPAN * scale, Z_GRID_SPAN * scale, n_points)
 
 
 def interface_profile(
@@ -143,7 +144,6 @@ def interface_profile(
     rng_seed: int = 0,
     a: float = 0.0,
     b: float = 1.0,
-    gamma: float = 1.0,
 ) -> InterfaceProfile:
     """Estimate the step-data vote profile on a grid of start heights.
 
@@ -160,7 +160,7 @@ def interface_profile(
     z_grid = np.asarray(z_grid, dtype=float)
     if np.any(np.diff(z_grid) <= 0):
         raise ArgumentError("z_grid must be strictly increasing")
-    spec = bbm1d_spec(epsilon, kernel.n_children, gamma)
+    spec = bbm1d_spec(epsilon, kernel.n_children)
     leaves = [step_profile(a, b)] * z_grid.size
     estimates = estimate_vote_probabilities(spec, kernel, z_grid[:, None], t, leaves, n_samples, rng_seed + 1000)
     profile = InterfaceProfile(t, epsilon, a, b, z_grid, estimates)

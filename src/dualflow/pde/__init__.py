@@ -8,9 +8,8 @@ from .distance import (
     zero_crossing_points,
 )
 from .levelsets import (
-    LevelSetTriple,
-    psi_alpha_sets,
     curvature_envelope_fields,
+    TiltedSurface,
     DistanceSupersolutionReport,
     check_distance_supersolution,
 )
@@ -26,9 +25,8 @@ __all__ = [
     "signed_distance",
     "LazySignedDistance",
     "zero_crossing_points",
-    "LevelSetTriple",
-    "psi_alpha_sets",
     "curvature_envelope_fields",
+    "TiltedSurface",
     "DistanceSupersolutionReport",
     "check_distance_supersolution",
     "solve_reaction_diffusion",

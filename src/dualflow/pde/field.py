@@ -1,10 +1,8 @@
-"""Dense scalar fields on regular grids, with a binary serialisation."""
+"""Dense scalar fields on regular grids."""
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -13,9 +11,6 @@ import numpy as np
 from ..errors import ArgumentError
 
 __all__ = ["ScalarField", "field_from_function"]
-
-_MAGIC = b"DFLD"
-_VERSION = 1
 
 
 @dataclass
@@ -134,35 +129,6 @@ class ScalarField:
     def as_leaf_function(self) -> Callable[[np.ndarray], np.ndarray]:
         """Voting function by piecewise-constant extension of the grid."""
         return lambda points: np.clip(self.nearest(points), 0.0, 1.0)
-
-    # ----- binary format -----
-    # header: magic 'DFLD', u32 version, u32 dim, f64 spacing, f64 time,
-    #         dim * u64 extents, dim * f64 origin; payload: f64 row-major.
-
-    def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        buf.write(_MAGIC)
-        buf.write(struct.pack("<II", _VERSION, self.dim))
-        buf.write(struct.pack("<dd", self.spacing, self.time_stamp))
-        buf.write(struct.pack(f"<{self.dim}Q", *self.values.shape))
-        buf.write(struct.pack(f"<{self.dim}d", *self.origin))
-        buf.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "ScalarField":
-        buf = io.BytesIO(raw)
-        if buf.read(4) != _MAGIC:
-            raise ArgumentError("not a field file")
-        version, dim = struct.unpack("<II", buf.read(8))
-        if version != _VERSION:
-            raise ArgumentError(f"unsupported field version {version}")
-        spacing, time_stamp = struct.unpack("<dd", buf.read(16))
-        extents = struct.unpack(f"<{dim}Q", buf.read(8 * dim))
-        origin = np.array(struct.unpack(f"<{dim}d", buf.read(8 * dim)))
-        count = int(np.prod(extents))
-        values = np.frombuffer(buf.read(8 * count), dtype="<f8").reshape(extents).copy()
-        return cls(dim, origin, spacing, values, time_stamp)
 
 
 def field_from_function(

@@ -1,12 +1,16 @@
-"""Short-time level-set test surfaces and the distance supersolution check.
+"""The tilted test surface and the distance supersolution check.
 
 For a smooth test function phi, the tilted surface
 
     psi_alpha(t, x) = phi(x) - t * (F_lower(D^2 phi, D phi) - alpha)
 
 moves strictly faster than the curvature flow by alpha; its sub-level
-sets are where an equilibrium phase must win. The signed distance to
-its zero set is a strict supersolution of the heat equation,
+sets are where an equilibrium phase must win. Its mirror
+phi - t * (F_upper + alpha) moves strictly slower, and its super-level
+sets are where the other phase must win. `TiltedSurface` builds both
+from one evaluation of the curvature envelopes, at any t >= 0. The
+signed distance to the zero set of psi_alpha is a strict supersolution
+of the heat equation,
 
     dd/dt - (1/2) Lap d >= alpha / (4 |D psi|),
 
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -28,34 +31,13 @@ from .distance import LazySignedDistance, signed_distance  # noqa: F401 (perfben
 from .field import ScalarField
 
 __all__ = [
-    "LevelSetTriple",
     "curvature_envelope_fields",
-    "psi_alpha_sets",
+    "TiltedSurface",
     "DistanceSupersolutionReport",
     "check_distance_supersolution",
 ]
 
 _GRAD_EPS = 1e-12
-
-
-@dataclass
-class LevelSetTriple:
-    """Zero / positive / negative masks of a level function, plus the
-    short-time sub- and super-level sets used by the consistency checks."""
-
-    zero_set: np.ndarray
-    positive_set: np.ndarray
-    negative_set: np.ndarray
-    psi: Optional[ScalarField] = None
-    l_minus: Optional[np.ndarray] = None  # {phi - h (F_lower - alpha) < 0}
-    l_plus: Optional[np.ndarray] = None  # {phi - h (F_upper + alpha) > 0}
-
-    def __post_init__(self):
-        total = (
-            self.zero_set.astype(int) + self.positive_set.astype(int) + self.negative_set.astype(int)
-        )
-        if not np.all(total == 1):
-            raise ArgumentError("masks must partition the grid")
 
 
 def curvature_envelope_fields(phi: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,40 +53,36 @@ def curvature_envelope_fields(phi: ScalarField) -> tuple[np.ndarray, np.ndarray,
     f_upper = common.copy()
     bad = ~safe
     if bad.any():
-        idx = np.argwhere(bad)
-        for ij in idx:
-            M = np.empty((dim, dim))
-            for k in range(dim):
-                M[k, k] = d2[(k, k)][tuple(ij)]
-                for l in range(k + 1, dim):
-                    M[k, l] = M[l, k] = d2[(k, l)][tuple(ij)]
-            eigs = np.linalg.eigvalsh(M)
-            tr = float(np.trace(M))
-            f_lower[tuple(ij)] = -0.5 * (tr + eigs[0])
-            f_upper[tuple(ij)] = -0.5 * (tr + eigs[-1])
+        hessians = np.empty((np.count_nonzero(bad), dim, dim))
+        for (k, l), second in d2.items():
+            hessians[:, k, l] = hessians[:, l, k] = second[bad]
+        eigs = np.linalg.eigvalsh(hessians)
+        tr = np.trace(hessians, axis1=1, axis2=2)
+        f_lower[bad] = -0.5 * (tr + eigs[:, 0])
+        f_upper[bad] = -0.5 * (tr + eigs[:, -1])
     return f_lower, f_upper, np.sqrt(grad2)
 
 
-def psi_alpha_sets(phi: ScalarField, alpha: float, h: float) -> LevelSetTriple:
-    """Threshold the tilted surface at zero and expose the short-time
-    sub/super-level sets of the flow-consistency conditions. The tilted
-    surface ``psi`` is phi - h * (F_lower(D^2 phi, D phi) - alpha), a
-    field at time h."""
-    if h < 0:
-        raise ArgumentError("h must be nonnegative")
-    f_lower, f_upper, _ = curvature_envelope_fields(phi)
-    psi_vals = phi.values - h * (f_lower - alpha)
-    psi = ScalarField(phi.dim, phi.origin.copy(), phi.spacing, psi_vals, time_stamp=h)
-    l_minus = psi_vals < 0.0
-    l_plus = (phi.values - h * (f_upper + alpha)) > 0.0
-    return LevelSetTriple(
-        zero_set=psi_vals == 0.0,
-        positive_set=psi_vals > 0.0,
-        negative_set=psi_vals < 0.0,
-        psi=psi,
-        l_minus=l_minus,
-        l_plus=l_plus,
-    )
+class TiltedSurface:
+    """The tilted surfaces of phi at slope alpha, from one evaluation of
+    `curvature_envelope_fields`.
+
+    ``at(t)`` is psi_alpha(t) = phi - t * (F_lower - alpha) and
+    ``at(t, upper=True)`` is phi - t * (F_upper + alpha), each a field
+    stamped with time t; ``grad_norm`` is |D phi| on the grid.
+    """
+
+    def __init__(self, phi: ScalarField, alpha: float):
+        f_lower, f_upper, self.grad_norm = curvature_envelope_fields(phi)
+        self.phi = phi
+        self._shifts = (f_lower - alpha, f_upper + alpha)
+
+    def at(self, t: float, upper: bool = False) -> ScalarField:
+        if not t >= 0:
+            raise ArgumentError(f"the tilted surface needs a time t >= 0, got {t!r}")
+        phi = self.phi
+        values = phi.values - t * self._shifts[upper]
+        return ScalarField(phi.dim, phi.origin.copy(), phi.spacing, values, time_stamp=t)
 
 
 @dataclass
@@ -162,12 +140,11 @@ def check_distance_supersolution(
     h = phi.spacing
     dim = phi.dim
 
-    f_lower, _, _ = curvature_envelope_fields(phi)
-    shift = f_lower - alpha
+    surface = TiltedSurface(phi, alpha)
     coords = phi.coordinates()
 
     def slice_at(t):
-        return LazySignedDistance(ScalarField(dim, phi.origin.copy(), h, phi.values - t * shift, time_stamp=t), coords)
+        return LazySignedDistance(surface.at(t), coords)
 
     interior = np.zeros(shape, dtype=bool)
     interior[tuple(slice(margin, -margin) for _ in range(dim))] = True

@@ -19,13 +19,14 @@ from ..errors import ArgumentError
 from ..dualtree.estimate import VoteEstimate, estimate_vote_probabilities, estimate_vote_probability
 from ..dualtree.tree import BranchingSpec
 from ..models import ModelBundle
-from ..onedim import _require_kernel
+from ..onedim import BRANCH_GAMMA, _require_kernel
 # no check calls bbm1d_vote_prob; perfbench/spans.py patches it here to time 1-D Monte Carlo
 from ..onedim import bbm1d_vote_prob  # noqa: F401
 from ..pde.curvature import _gradient_norm_at, evolve_mcf_levelset
 from ..pde.distance import LazySignedDistance, signed_distance
 from ..pde.field import ScalarField
-from ..pde.levelsets import curvature_envelope_fields, psi_alpha_sets
+# no check calls curvature_envelope_fields (TiltedSurface does); perfbench/spans.py patches it here too
+from ..pde.levelsets import TiltedSurface, curvature_envelope_fields  # noqa: F401
 from ..pde.reaction import DEFAULT_SAFETY, solve_reaction_diffusion
 from ..rng import derive_rng
 from .report import CheckReport, timed_report
@@ -48,6 +49,12 @@ __all__ = [
 ]
 
 BundleLike = ModelBundle | Callable[[float], ModelBundle]
+
+FLOW_N_POINTS = 6  # sample points of a flow-consistency check
+FLOW_THRESHOLD = 0.08  # its final-epsilon deviation allowed beyond 4 sigma
+FLOW_BOUNDARY_LAYER = 1.5  # its least sample depth, in eps |log eps| at the largest epsilon
+MCF_THRESHOLD = 0.1  # worst final deviation of an MCF duality estimate from its phase
+KURTOSIS_RTOL = 0.10  # relative tolerance of the lineage kurtosis against the Gaussian 3
 
 
 def _bundle_at(bundle: BundleLike, epsilon: float) -> ModelBundle:
@@ -302,26 +309,25 @@ def check_equilibria(
 
     Back-propagation of a constant through any genealogy is the n-fold
     composition of the bundle's g at a fixed point, so the estimate has
-    zero variance; the threshold is floating-point tight. Every vertex
-    combines through the bundle's g, which for the nonlinear voter is the
-    frozen effective g rather than its per-vertex partition combiner (its
-    equilibria are fixed points of that g by construction). A constant
-    leaf function reads no position, so the start does not matter: one
-    forest from the origin, seeded ``rng_seed + 31``, has the constants a
-    and b as its two columns.
+    zero variance; the threshold is floating-point tight. The bundle's g
+    is the voting rule at every vertex, which for the nonlinear voter is
+    the frozen effective g rather than its per-vertex partition combiner
+    (its equilibria are fixed points of that g by construction), so the
+    forest draws no decorations. A constant leaf function reads no
+    position, so the start does not matter: one forest from the origin,
+    seeded ``rng_seed + 31``, has the constants a and b as its two
+    columns.
     """
-    g_combo = lambda child, dec: bundle.g.combine_params(child)
     constants = (bundle.a, bundle.b)
     with timed_report() as box:
         ests = estimate_vote_probabilities(
             bundle.spec,
-            bundle.kernel,
+            bundle.g,
             np.zeros((2, bundle.spec.dim)),
             t,
             [lambda P, c=c: np.full(P.shape[0], c) for c in constants],
             n_samples,
             rng_seed + 31,
-            combine=g_combo,
         )
         worst = max(abs(est.value - c) for est, c in zip(ests, constants))
     return CheckReport(
@@ -367,58 +373,47 @@ def check_flow_consistency(
     epsilon_list: Sequence[float],
     n_samples: int,
     rng_seed: int,
-    n_points: int = 6,
     variant: str = "plus",
-    threshold: float = 0.08,
-    boundary_layer: float = 1.5,
 ) -> CheckReport:
     """At short-time sub-level points, shrinking epsilon drives the
     estimate to the equilibrium the tilted surface predicts.
 
     variant="plus": points of the fast sub-level set under the profile
     (a + delta, b) must approach a; variant="minus" is the mirrored
-    check approaching b. The statistic is the final-epsilon worst
-    deviation from the target; non-monotone trends beyond the noise are
-    recorded in the notes. Each epsilon grows one forest that every point
+    check on the super-level set of the upper tilted surface, approaching
+    b. The statistic is the final-epsilon worst deviation from the
+    target; non-monotone trends beyond the noise are recorded in the
+    notes. Each epsilon grows one forest that every point
     reads as a column (`bundle_estimates`).
     """
     eps_list = sorted(set(float(e) for e in epsilon_list), reverse=True)
     if len(eps_list) < 2:
         raise ArgumentError("need at least two epsilon values")
-    _, f_upper, grad = curvature_envelope_fields(phi)
-    sets = psi_alpha_sets(phi, alpha, h)
+    surface = TiltedSurface(phi, alpha)
+    grad = surface.grad_norm
     near_zero = np.abs(phi.values) <= 2 * phi.spacing * np.maximum(grad, 1e-12)
     if np.any(grad[near_zero] <= 1e-9):
         raise ArgumentError("phi has a vanishing gradient on its zero set")
     # points within the finite-epsilon boundary layer of the largest
     # epsilon have not collapsed yet; the asymptotic statement is locally
     # uniform on the interior, so sample at depth
-    layer = boundary_layer * eps_list[0] * abs(math.log(eps_list[0]))
+    layer = FLOW_BOUNDARY_LAYER * eps_list[0] * abs(math.log(eps_list[0]))
+    if variant not in ("plus", "minus"):
+        raise ArgumentError("variant must be 'plus' or 'minus'")
+    sign = 1.0 if variant == "plus" else -1.0  # plus: psi_alpha < 0; minus: the upper surface > 0
+    profile = plus_phase_profile if variant == "plus" else minus_phase_profile
     with timed_report() as box:
-        if variant == "plus":
-            depth = signed_distance(sets.psi).values
-            mask = sets.l_minus & (depth <= -layer)
-            order_by = depth  # most negative first
-        elif variant == "minus":
-            psi_plus = ScalarField(
-                phi.dim, phi.origin.copy(), phi.spacing, phi.values - h * (f_upper + alpha), h
-            )
-            depth = signed_distance(psi_plus).values
-            mask = sets.l_plus & (depth >= layer)
-            order_by = -depth  # most positive first
-        else:
-            raise ArgumentError("variant must be 'plus' or 'minus'")
-        points = _select_mask_points(phi, mask, order_by, n_points)
+        psi = surface.at(h, upper=variant == "minus")
+        depth = sign * signed_distance(psi).values
+        mask = (sign * psi.values < 0.0) & (depth <= -layer)
+        order_by = depth  # deepest first
+        points = _select_mask_points(phi, mask, order_by, FLOW_N_POINTS)
         trend: list[float] = []
         stderrs: list[float] = []
         for k, eps in enumerate(eps_list):
             b_eps = _bundle_at(bundle, eps)
-            if variant == "plus":
-                p = plus_phase_profile(phi, delta, b_eps.a, b_eps.b)
-                target = b_eps.a
-            else:
-                p = minus_phase_profile(phi, delta, b_eps.a, b_eps.b)
-                target = b_eps.b
+            p = profile(phi, delta, b_eps.a, b_eps.b)
+            target = b_eps.a if variant == "plus" else b_eps.b
             ests = bundle_estimates(b_eps, points, h, [p] * len(points), n_samples, rng_seed + 613 * (k + 1))
             devs = [abs(e.value - target) for e in ests]
             trend.append(max(devs))
@@ -429,7 +424,7 @@ def check_flow_consistency(
         if rises.any():
             notes.append(f"trend not monotone at steps {np.flatnonzero(rises).tolist()}")
         statistic = trend[-1]
-        full_threshold = threshold + 4.0 * stderrs[-1]
+        full_threshold = FLOW_THRESHOLD + 4.0 * stderrs[-1]
     return CheckReport(
         name="flow_consistency",
         inputs={
@@ -480,8 +475,7 @@ def check_interface_formation(
     t_form = sigma1 * epsilon**2 * abs(math.log(epsilon))
     t = t_override if t_override is not None else t_form
     with timed_report() as box:
-        sets = psi_alpha_sets(phi, alpha, t)
-        dist = signed_distance(sets.psi)
+        dist = signed_distance(TiltedSurface(phi, alpha).at(t))
         deep = dist.values <= -K * scale
         points = _select_mask_points(phi, deep, dist.values, n_points)
         p = plus_phase_profile(phi, delta, b_eps.a, b_eps.b)
@@ -566,10 +560,10 @@ def check_propagation_vs_1d(
     scale = epsilon * abs(math.log(epsilon))
     with timed_report() as box:
         p = plus_phase_profile(phi, delta, b_eps.a, b_eps.b)
+        surface = TiltedSurface(phi, alpha)
         times, dists, multi = [], [], []
         for j, t in enumerate(time_grid):
-            sets = psi_alpha_sets(phi, alpha, t)
-            dist = signed_distance(sets.psi)
+            dist = signed_distance(surface.at(t))
             # points spread in distance around the interface
             band = np.abs(dist.values) <= 4.0 * K2 * scale
             if not band.any():
@@ -582,7 +576,7 @@ def check_propagation_vs_1d(
         z = np.array(dists) + K2 * scale
         reach = 6.0 * math.sqrt(max(time_grid))
         step_data = _step_data_field(b_eps.a, b_eps.b, z.min() - reach, z.max() + reach, epsilon / 40.0)
-        coarse, one_d = _reaction_diffusion_at(epsilon, b_eps.g, 1.0, step_data, times, z[:, None])
+        coarse, one_d = _reaction_diffusion_at(epsilon, b_eps.g, step_data, times, z[:, None])
         pde_budget = np.abs(coarse - one_d)
         worst = max(est.value - u - 4.0 * est.stderr - gap for est, u, gap in zip(multi, one_d, pde_budget))
         allowance = C_allow * epsilon**k_power
@@ -663,8 +657,7 @@ def check_ito_coupling_drift(
         raise ArgumentError("budget must be finite and nonnegative")
     rng = derive_rng(rng_seed, 0x170)
     with timed_report() as box:
-        f_lower, _, _ = curvature_envelope_fields(phi)
-        shift = f_lower - alpha
+        surface = TiltedSurface(phi, alpha)
         taus = t - np.linspace(0.0, s, n_steps + 1)  # backward times along the path
         coords = phi.coordinates()
         nodes = np.arange(coords.shape[0])
@@ -675,10 +668,10 @@ def check_ito_coupling_drift(
         dist = None
         L = 0.0  # sup |D psi| over the band, all slices
         for j, tau in enumerate(taus):
-            values = phi.values - tau * shift
-            if dist is None or not np.array_equal(values, dist.field.values):
-                dist = LazySignedDistance(ScalarField(dim, phi.origin.copy(), phi.spacing, values, tau), coords)
-                grad = _gradient_norm_at(values, phi.spacing, nodes)
+            psi = surface.at(tau)
+            if dist is None or not np.array_equal(psi.values, dist.field.values):
+                dist = LazySignedDistance(psi, coords)
+                grad = _gradient_norm_at(psi.values, phi.spacing, nodes)
                 rising = np.flatnonzero(grad > L)
                 in_band = rising[dist.band(band_r0, rising)]
                 if in_band.size:
@@ -742,7 +735,6 @@ def check_diffusivity(
     rng_seed: int,
     target_slope: float = 1.0,
     slope_rtol: float = 0.05,
-    kurtosis_rtol: float = 0.10,
     check_gaussianity: bool = True,
 ) -> CheckReport:
     """Single-lineage displacement variance grows linearly at the target
@@ -769,7 +761,7 @@ def check_diffusivity(
         stats = {"slope": slope, "kurtosis": kurt}
         devs = [slope_dev]
         if check_gaussianity:
-            devs.append(abs(kurt / 3.0 - 1.0) / kurtosis_rtol)
+            devs.append(abs(kurt / 3.0 - 1.0) / KURTOSIS_RTOL)
         support_ok = True
         if spec.dispersal_support_bound is not None:
             parents = np.zeros((min(n_samples, 2000), spec.dim))
@@ -808,7 +800,6 @@ def check_mcf_duality(
     n_samples: int,
     rng_seed: int,
     margin: float = 0.1,
-    threshold: float = 0.1,
 ) -> CheckReport:
     """Phases predicted by the level-set flow attract the dual estimates.
 
@@ -864,8 +855,8 @@ def check_mcf_duality(
             "n_samples": n_samples,
         },
         statistic=float(worst),
-        threshold=float(threshold),
-        passed=bool(worst <= threshold),
+        threshold=float(MCF_THRESHOLD),
+        passed=bool(worst <= MCF_THRESHOLD),
         budget={"comparisons": details},
         seed=rng_seed,
         runtime=box["runtime"],
@@ -887,13 +878,12 @@ def _refined(field: ScalarField) -> ScalarField:
 def _reaction_diffusion_at(
     epsilon: float,
     g,
-    branch_gamma: float,
     p0: ScalarField,
     times: np.ndarray,
     points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """u(times[i], points[i]) of du/dt = Lap u / 2 + gamma eps^-2 (g(u) - u)
-    from p0 at time 0, from one solve through the sorted times at the
+    """u(times[i], points[i]) of du/dt = Lap u / 2 + gamma eps^-2 (g(u) - u),
+    gamma = BRANCH_GAMMA, from p0 at time 0, from one solve through the sorted times at the
     default step, and again from one (h/2, dt/2) solve of `_refined(p0)`.
     The difference of the two estimates the discretisation error."""
     runs = []
@@ -901,7 +891,7 @@ def _reaction_diffusion_at(
         values = np.empty(len(times))
         current, t_now = data, 0.0
         for T in sorted(set(times.tolist())):
-            current = solve_reaction_diffusion(epsilon, g, branch_gamma, current, T - t_now, safety=safety)
+            current = solve_reaction_diffusion(epsilon, g, BRANCH_GAMMA, current, T - t_now, safety=safety)
             t_now = T
             at = times == T
             values[at] = current.interp(points[at])
@@ -916,11 +906,11 @@ def check_allen_cahn_duality(
     n_samples: int,
     rng_seed: int,
     pde_budget: float = 0.02,
-    branch_gamma: float = 1.0,
 ) -> CheckReport:
     """Monte Carlo dual versus the g-derived reaction-diffusion solution.
 
-    Solves du/dt = Lap u / 2 + gamma eps^-2 (g(u) - u) from p0 and
+    Solves du/dt = Lap u / 2 + gamma eps^-2 (g(u) - u), gamma =
+    BRANCH_GAMMA, from p0 and
     compares, at the given (t, x) points, with the tree-exact Monte
     Carlo estimate under the same (piecewise-constant) voting function.
     The points of one t are the columns of one forest
@@ -933,7 +923,7 @@ def check_allen_cahn_duality(
     with timed_report() as box:
         times = np.array([float(t) for t, _ in points])
         xs = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for _, x in points])
-        pde_vals, half_step = _reaction_diffusion_at(eps, bundle.g, branch_gamma, p0, times, xs)
+        pde_vals, half_step = _reaction_diffusion_at(eps, bundle.g, p0, times, xs)
         leaf = p0.as_leaf_function()
         ests = [None] * len(times)
         for t in dict.fromkeys(times.tolist()):  # the distinct times, in order of first appearance

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from dualflow.models import brownian_motion, nonlinear_voter_dual, sexual_reprod
 from dualflow.onedim import bbm1d_spec, step_profile
 from dualflow.pde import field_from_function
 from dualflow.rng import derive_rng
-from dualflow.verify import plus_phase_profile
+from dualflow.verify import check_equilibria, plus_phase_profile
 
 from conftest import NLV_RATES
 
@@ -334,7 +335,8 @@ def _recorded_nlv():
 
 # file under tests/data -> (leaf_prob, g) its recorded root value was voted
 # with: simulate_tree(ternary_bbm(0.3, 1).spec, [0.3], 0.25, rng_seed=21) and
-# the nlv_tree fixture's genealogy, both from the dict layout's simulator
+# the nlv_tree fixture's genealogy, both from the dict layout's simulator,
+# which decorated every NLV genealogy
 RECORDED_TREES = {
     "tree_ternary_bbm_d1_seed21.json": _recorded_bbm,
     "tree_nlv_d3_seed5.json": _recorded_nlv,
@@ -406,29 +408,45 @@ class TestTreeJson:
 
 @pytest.fixture(scope="module")
 def nlv_tree():
-    # a 5-ary genealogy whose branching events are each decorated with the
-    # (5,) int64 copy map of its children's marked coalescence partition
+    # a 5-ary genealogy; no combiner reads it, so it carries no decorations
     bundle = nonlinear_voter_dual(0.45, L=2, dim=3, gbar_samples=200, gbar_seed=1)
     return bundle, simulate_tree(bundle.spec, [0.0, 0.0, 0.0], 0.15, rng_seed=5)
 
 
 class TestDecoratedTree:
-    def test_json_roundtrip_keeps_decorations(self, nlv_tree):
-        _, tree = nlv_tree
+    def test_json_roundtrip_keeps_decorations(self):
+        # recorded when every NLV genealogy was decorated, with (5, 3)
+        # displacements: the JSON layer keeps them as opaque arrays
+        text = (DATA / "tree_nlv_d3_seed5.json").read_text()
+        tree = TimeLabelledTree.from_json(text)
         events = sum(int(np.count_nonzero(~wave.is_leaf)) for wave in tree.waves)
+        rows = [wave.decorations for wave in tree.waves if wave.decorations is not None]
+        assert events == 14 and sum(len(dec) for dec in rows) == events
+        assert all(dec.shape[1:] == (5, 3) for dec in rows)
         back = TimeLabelledTree.from_json(tree.to_json())
         back.validate()
-        assert back.to_json() == tree.to_json()
-        rows = [(a.decorations, b.decorations) for a, b in zip(tree.waves, back.waves) if a.decorations is not None]
-        assert events > 0 and sum(len(dec) for dec, _ in rows) == events
-        for dec, got in rows:
-            assert got.dtype == np.int64 and got.shape[1:] == (5,)
-            assert np.array_equal(got, dec)
-            assert np.array_equal(np.take_along_axis(got, got, axis=1), got)  # c[c[j]] = c[j]
-        # recorded when decorations were (5, 3) displacements: the JSON layer
-        # keeps them as opaque arrays
-        recorded = json.loads((DATA / "tree_nlv_d3_seed5.json").read_text())["vertices"]
-        assert sum("decoration" in rec for rec in recorded) == 14
+        assert back.to_json() == text
+        for a, b in zip(tree.waves, back.waves):
+            assert (a.decorations is None) == (b.decorations is None)
+            if a.decorations is not None:
+                assert np.array_equal(a.decorations, b.decorations)
+
+    def test_only_a_combiner_forest_draws_decorations(self, nlv_tree):
+        bundle, tree = nlv_tree
+        calls = []
+        decorate = bundle.spec.decoration_fn
+        spec = dataclasses.replace(
+            bundle.spec, decoration_fn=lambda *args: calls.append(args[0].shape[0]) or decorate(*args)
+        )
+        spied = dataclasses.replace(bundle, spec=spec)
+        leaf = lambda P: np.clip(0.5 + 0.3 * P[:, 0], 0.0, 1.0)
+        assert all(wave.decorations is None for wave in tree.waves)
+        simulate_tree(spec, [0.0, 0.0, 0.0], 0.15, rng_seed=5)
+        forest_root_params(spec, [[0.0, 0.0, 0.0]], 0.15, [leaf], bundle.g, 20, derive_rng(1))
+        check_equilibria(spied, 0.05, 20, 3)
+        assert calls == []
+        res = forest_root_params(spec, [[0.0, 0.0, 0.0]], 0.15, [leaf], None, 20, derive_rng(1), combine=bundle.combine)
+        assert sum(calls) == res.total_vertices - res.total_leaves > 0
 
     def test_exact_recursion_with_frozen_g_keeps_equilibria(self, nlv_tree):
         # the bundle's effective g ignores decorations; constant equilibrium
@@ -450,10 +468,10 @@ class TestOneLayout:
             "ternary_bbm_d1": (ternary_bbm(0.3, 1).spec, [0.1], 0.25, ternary_bbm(0.3, 1).kernel),
             "ternary_bbm_d2": (ternary_bbm(0.3, 2).spec, [0.1, -0.2], 0.2, ternary_bbm(0.3, 2).kernel),
             "sexual_reproduction_lattice_walk": (sr.spec, [0.1, -0.2], 0.3, sr.kernel),
-            "nonlinear_voter_decorated": (nlv.spec, [0.0, 0.0, 0.0], 0.15, nlv.g),
+            "nonlinear_voter_frozen_g": (nlv.spec, [0.0, 0.0, 0.0], 0.15, nlv.g),
         }
 
-    @pytest.mark.parametrize("name", ["ternary_bbm_d1", "ternary_bbm_d2", "sexual_reproduction_lattice_walk", "nonlinear_voter_decorated"])
+    @pytest.mark.parametrize("name", ["ternary_bbm_d1", "ternary_bbm_d2", "sexual_reproduction_lattice_walk", "nonlinear_voter_frozen_g"])
     def test_tree_is_a_one_root_forest(self, name):
         spec, x0, t, kernel = self._cases()[name]
         leaf_vec = lambda P: np.clip(0.5 + 0.8 * P[:, 0] - 0.3 * P[:, -1], 0.0, 1.0)

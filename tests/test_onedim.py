@@ -144,7 +144,7 @@ class TestExactProfile:
         z, t = formed_profile.z_grid, formed_profile.t
         reach = 6.0 * math.sqrt(t)
         step = checks._step_data_field(0.0, 1.0, z[0] - reach, z[-1] + reach, EPS / 40)
-        coarse, u = checks._reaction_diffusion_at(EPS, kernel_g(KERNEL), 1.0, step, np.full(z.size, t), z[:, None])
+        coarse, u = checks._reaction_diffusion_at(EPS, kernel_g(KERNEL), step, np.full(z.size, t), z[:, None])
         sigma = np.maximum(formed_profile.stderrs, np.sqrt(u * (1.0 - u) / 2500))
         assert np.all(np.abs(formed_profile.values - u) <= 4.0 * sigma + np.abs(coarse - u))
 

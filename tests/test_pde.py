@@ -15,6 +15,7 @@ from dualflow.gfunction import ExchangeableKernel, kernel_g, majority_kernel
 from dualflow.pde import (
     LazySignedDistance,
     ScalarField,
+    TiltedSurface,
     check_distance_supersolution,
     curvature_envelope_fields,
     curvature_rhs,
@@ -22,7 +23,6 @@ from dualflow.pde import (
     f_lstar,
     f_star,
     field_from_function,
-    psi_alpha_sets,
     reaction_time_step,
     signed_distance,
     solve_reaction_diffusion,
@@ -453,33 +453,38 @@ class TestLazySignedDistance:
 class TestPsiAlpha:
     def test_h_zero_is_phi(self):
         f = circle_field(n=64)
-        triple = psi_alpha_sets(f, alpha=0.7, h=0.0)
-        assert np.array_equal(triple.negative_set, f.values < 0)
-        assert np.array_equal(triple.positive_set, f.values > 0)
-
-    def test_masks_partition(self):
-        f = circle_field(n=64)
-        triple = psi_alpha_sets(f, alpha=0.5, h=0.05)
-        total = triple.zero_set.astype(int) + triple.positive_set.astype(int) + triple.negative_set.astype(int)
-        assert np.all(total == 1)
+        surface = TiltedSurface(f, alpha=0.7)
+        for upper in (False, True):
+            psi = surface.at(0.0, upper)
+            assert np.array_equal(psi.values, f.values) and psi.time_stamp == 0.0
+        with pytest.raises(ArgumentError, match="t >= 0"):
+            surface.at(-1e-3)
 
     def test_sub_level_monotone_in_alpha(self):
         # psi_alpha = phi - h F_lower + h alpha gains h alpha, so the strict
         # sub-level set shrinks (and the super-level remainder grows) as
-        # alpha increases, nestedly
+        # alpha increases, nestedly; the upper surface loses h alpha, so its
+        # strict super-level set shrinks
         f = circle_field(n=64)
-        masks = [psi_alpha_sets(f, alpha, h=0.05).l_minus for alpha in (0.2, 0.6, 1.0)]
-        assert masks[0].sum() >= masks[1].sum() >= masks[2].sum()
-        assert np.all(masks[2] <= masks[1]) and np.all(masks[1] <= masks[0])
+        surfaces = [TiltedSurface(f, alpha) for alpha in (0.2, 0.6, 1.0)]
+        for masks in (
+            [s.at(0.05).values < 0.0 for s in surfaces],
+            [s.at(0.05, upper=True).values > 0.0 for s in surfaces],
+        ):
+            assert masks[0].sum() > masks[1].sum() > masks[2].sum()
+            assert np.all(masks[2] <= masks[1]) and np.all(masks[1] <= masks[0])
 
     def test_circle_shrinks_per_curvature(self):
-        # oracle: on the unit circle F = -1, so psi = phi + h(1 + alpha)
-        # and its zero radius is sqrt(1 - h (1 + alpha))
+        # oracle: for phi = |x|^2 - 1, F = -1 wherever D phi != 0, so
+        # psi = phi + h(1 + alpha), zero radius sqrt(1 - h (1 + alpha)), and
+        # the upper surface is phi + h(1 - alpha), radius sqrt(1 - h (1 - alpha))
         f = circle_field(n=128, half=2.0)
-        h, alpha = 0.04, 0.0
-        psi = psi_alpha_sets(f, alpha, h).psi
-        radius = np.linalg.norm(zero_crossing_points(psi), axis=1).mean()
-        assert radius == pytest.approx(math.sqrt(1 - h), abs=2e-3)
+        h = 0.04
+        radius = lambda psi: np.linalg.norm(zero_crossing_points(psi), axis=1).mean()
+        assert radius(TiltedSurface(f, 0.0).at(h)) == pytest.approx(math.sqrt(1 - h), abs=2e-3)
+        surface = TiltedSurface(f, 0.5)
+        assert radius(surface.at(h)) == pytest.approx(math.sqrt(1 - 1.5 * h), abs=2e-3)
+        assert radius(surface.at(h, upper=True)) == pytest.approx(math.sqrt(1 - 0.5 * h), abs=2e-3)
 
 
 def _supersolution_cases():
@@ -677,14 +682,6 @@ class TestReactionDiffusion:
 
 
 class TestFieldIO:
-    def test_binary_roundtrip(self):
-        f = circle_field(n=48)
-        back = ScalarField.from_bytes(f.to_bytes())
-        assert back.dim == f.dim
-        assert back.spacing == f.spacing
-        assert np.array_equal(back.values, f.values)
-        assert np.array_equal(back.origin, f.origin)
-
     def test_zero_set_points(self):
         # the zero set as points, one row per crossing, dim columns
         pts = zero_crossing_points(circle_field(n=48))

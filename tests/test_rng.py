@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dualflow
 from dualflow.errors import ArgumentError
 from dualflow.rng import derive_rng
 
@@ -27,3 +31,15 @@ class TestDeriveRng:
         with pytest.raises(ArgumentError):
             derive_rng(1, 2, 3, 4, 5)
 
+
+def test_generators_are_built_only_in_rng():
+    # one seeding scheme: every generator in the package comes from derive_rng
+    root = Path(dualflow.__file__).parent
+    builds = re.compile(r"Philox|Generator\(|default_rng")
+    found = [
+        f"{path.relative_to(root)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if builds.search(line)
+    ]
+    assert found and all(place.startswith("rng.py:") for place in found), found

@@ -15,7 +15,7 @@ from dualflow.models import (
 from dualflow.dualtree import estimate_vote_probability
 from dualflow.gfunction import majority_kernel
 from dualflow.onedim import interface_profile, step_profile
-from dualflow.pde import ScalarField, distance, field_from_function
+from dualflow.pde import ScalarField, check_distance_supersolution, distance, field_from_function
 from dualflow.verify import (
     check_allen_cahn_duality,
     check_diffusivity,
@@ -228,6 +228,41 @@ class TestGeometryChecks:
                 epsilon_list=[0.3, 0.2], n_samples=1000, rng_seed=5, variant=variant,
             )
             assert rep.passed, variant
+
+
+class TestOneTiltedSurface:
+    def test_one_envelope_per_check(self, monkeypatch, bbm2):
+        # every check that reads the tilted surface builds it once, whatever
+        # its times, variant or slices
+        import dualflow.pde.levelsets as levelsets
+        import dualflow.verify.checks as checks
+
+        envelope, calls = levelsets.curvature_envelope_fields, []
+        counting = lambda phi: calls.append(phi) or envelope(phi)
+        monkeypatch.setattr(levelsets, "curvature_envelope_fields", counting)
+        monkeypatch.setattr(checks, "curvature_envelope_fields", counting)
+        mk, phi = (lambda e: ternary_bbm(e, 2)), circle_phi(n=64)
+        flow = dict(alpha=1.0, delta=0.05, h=0.05, epsilon_list=[0.3, 0.2], n_samples=20, rng_seed=5)
+        runs = {
+            "flow_consistency_plus": lambda: check_flow_consistency(mk, phi, **flow),
+            "flow_consistency_minus": lambda: check_flow_consistency(mk, phi, **flow, variant="minus"),
+            "interface_formation": lambda: check_interface_formation(
+                bbm2, phi, delta=0.05, epsilon=0.2, n_samples=20, rng_seed=5
+            ),
+            "propagation_vs_1d": lambda: check_propagation_vs_1d(
+                bbm2, phi, alpha=1.0, delta=0.05, epsilon=0.2, time_grid=[0.08, 0.12, 0.16], n_samples=20, rng_seed=5
+            ),
+            "ito_coupling_drift": lambda: check_ito_coupling_drift(
+                phi, alpha=1.0, t=0.05, s=0.03, band_r0=0.25, n_paths=20, rng_seed=5, x=[1.05, 0.0]
+            ),
+            "distance_supersolution": lambda: check_distance_supersolution(phi, alpha=1.0, h0=0.05, band_r0=0.3),
+        }
+        counts = {}
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            counts[name] = len(calls)
+        assert counts == dict.fromkeys(runs, 1)
 
 
 class TestItoDrift:
