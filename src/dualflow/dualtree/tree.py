@@ -36,6 +36,7 @@ __all__ = [
     "TimeLabelledTree",
     "BranchingSpec",
     "expected_population",
+    "check_growth",
     "grow_waves",
     "vote_back",
     "simulate_tree",
@@ -104,30 +105,15 @@ class Wave:
     at_death: Optional[np.ndarray] = None
 
 
-def grow_waves(
-    spec: BranchingSpec,
-    x0,
-    t: float,
-    n_roots: int,
-    rng: np.random.Generator,
-    max_vertices: int,
-    genealogy: bool = False,
-    decorate: bool = False,
-) -> tuple[list[Wave], int, int]:
-    """Grow n_roots independent genealogies from x0 to the horizon t.
-
-    Per wave, in this order, the loop draws the lifetimes, the leaves'
-    motion to the horizon, the internal vertices' motion to their deaths,
-    the dispersal and, with ``decorate``, the decorations, and keeps the
-    leaf positions. ``genealogy`` also keeps birth, death and internal
-    positions at death.
+def check_growth(spec: BranchingSpec, x0, t: float, n_roots: int, max_vertices: int) -> tuple[np.ndarray, float]:
+    """Validate one growth call and make its up-front budget refusal.
 
     A start that is not a finite point of dimension ``spec.dim``, a
     horizon that is not finite and >= 0, or a root count that is not an
-    integer >= 1 raises ArgumentError before anything is drawn. The
-    vertex budget is refused up front when the expected vertex count
-    n_roots * E|N(t)| * n0/(n0 - 1) exceeds it, and during growth when the
-    count does. Returns (waves, total vertices, total leaves).
+    integer >= 1 raises ArgumentError. The vertex budget is refused
+    (ResourceError) when the expected vertex count n_roots * E|N(t)| *
+    n0/(n0 - 1) exceeds it. Returns the start as a (dim,) array and the
+    expected vertex count per root.
     """
     if not (isinstance(t, numbers.Real) and math.isfinite(t) and t >= 0):
         raise ArgumentError(f"horizon must be finite and nonnegative, got {t!r}")
@@ -144,6 +130,36 @@ def grow_waves(
             f"expected ensemble size {expected_total:.3g} vertices "
             f"exceeds the vertex budget {max_vertices}"
         )
+    return x0, expected_total / n_roots
+
+
+def grow_waves(
+    spec: BranchingSpec,
+    x0,
+    t: float,
+    n_roots: int,
+    rng: np.random.Generator,
+    max_vertices: int,
+    genealogy: bool = False,
+    decorate: bool = False,
+    counted: int = 0,
+) -> tuple[list[Wave], int, int]:
+    """Grow n_roots independent genealogies from x0 to the horizon t.
+
+    Per wave, in this order, the loop draws the lifetimes, the leaves'
+    motion to the horizon, the internal vertices' motion to their deaths,
+    the dispersal and, with ``decorate``, the decorations, and keeps the
+    leaf positions. ``genealogy`` also keeps birth, death and internal
+    positions at death.
+
+    Bad input and the up-front budget refusal are those of
+    `check_growth`, made before anything is drawn. During growth the
+    budget is refused when the running vertex count exceeds it; that
+    count starts at ``counted``, the vertices earlier growth on the same
+    budget has made. Returns (waves, vertices, leaves) of this call.
+    """
+    x0, _ = check_growth(spec, x0, t, n_roots, max_vertices)
+    n0 = spec.n_children
 
     waves: list[Wave] = []
     positions = np.tile(x0, (n_roots, 1))
@@ -153,7 +169,7 @@ def grow_waves(
     while positions.shape[0]:
         n_w = positions.shape[0]
         total += n_w
-        if total > max_vertices:
+        if counted + total > max_vertices:
             raise ResourceError(f"ensemble exceeded the vertex budget {max_vertices}")
         if spec.branch_rate > 0:
             lifetimes = rng.exponential(1.0 / spec.branch_rate, size=n_w)

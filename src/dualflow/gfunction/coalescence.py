@@ -50,6 +50,8 @@ MAX_CUTOFF = 512.0
 # keeps the law, and few are cut: 29 of 296,000 sample-passes in a
 # 750-sample gbar(L=2, dim=3) to the 512 cap.
 _MAX_LEAP = 128
+# Share of finished rows at which a pass compacts its running arrays.
+_COMPACT_SHARE = 0.25
 
 
 def _as_starts(start: Sequence, dim: int, n_samples: int) -> np.ndarray:
@@ -155,9 +157,13 @@ def _run_coalescing(
     (m, nr), inactive-pair masks ``dead`` (pairs, nr), clocks ``T``,
     minimum distances ``D``, active counts ``K`` and total rates
     ``K * jump_rate`` (nr,), and the jump codes ``code`` of
-    ``_jump_codes``. A sample is written back to ``pos``/``rep``/``t``
-    when its clock reaches t_end or its walkers have fully merged; the
-    compact arrays are rebuilt only then.
+    ``_jump_codes``. A sample is finished when its clock reaches t_end or
+    its walkers have fully merged. A finished sample is frozen in place
+    with J = 0: Gamma(0) draws nothing, and frozen samples are left out of
+    the binomial draw and take no jump, so the draws are those of the
+    running samples alone. Only when ``_COMPACT_SHARE`` of the rows are
+    finished are they written back to ``pos``/``rep``/``t`` and the
+    compact arrays rebuilt.
 
     A jump's walker and direction come from one draw on
     [0, lcm(1..m) * 2 * dim) reduced mod K * 2 * dim, which is exactly
@@ -182,19 +188,22 @@ def _run_coalescing(
     code = _jump_codes(A, n_dir)
     D = _pair_gaps(P, pair_i, pair_j, dead).min(axis=0, initial=_MAX_LEAP)
     passes = jumps = 0
+    live = None  # the unfrozen rows, once some are frozen
     while rows.size:
         nr = rows.size
         passes += 1
         J = np.minimum(D, _MAX_LEAP)
-        S = rng.standard_gamma(J) / rate
+        if live is not None:
+            J *= live
+        S = rng.standard_gamma(J) / rate  # Gamma(0) is 0 and draws nothing
         arrival = T + S
         fire = arrival < t_end
-        all_fire = bool(fire.all())
+        late = ~fire if live is None else ~fire & live
+        all_fire = not late.any()
         if all_fire:
             T = arrival
             n_jumps = J
         else:
-            late = ~fire
             n_jumps = J.copy()
             share = np.minimum((t_end - T[late]) / S[late], 1.0)
             n_jumps[late] = rng.binomial(J[late] - 1, share)
@@ -227,9 +236,14 @@ def _run_coalescing(
         elif all_fire:
             continue
         keep = (T < t_end) & (K > 1)
-        if keep.all():
-            continue
         done = ~keep
+        n_done = np.count_nonzero(done)
+        if n_done == 0:
+            continue
+        if n_done < nr * _COMPACT_SHARE:
+            live = keep
+            continue
+        live = None
         pos[rows[done]] = np.compress(done, P, axis=2).transpose(2, 1, 0)
         rep[rows[done]] = np.compress(done, R, axis=1).T
         t[rows[done]] = np.maximum(T[done], t_end)

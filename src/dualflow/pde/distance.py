@@ -137,6 +137,9 @@ def zero_set_segments(field: ScalarField) -> np.ndarray:
 
 
 _K_NEAR = 12  # segment candidates per point, by midpoint distance
+# Points per distance evaluation: bounds the (points, _K_NEAR) candidate
+# arrays (and the 1-D (points, crossings) differences) to one chunk
+_CHUNK = 2048
 
 
 class ZeroSet:
@@ -162,7 +165,16 @@ class ZeroSet:
             self.tree = cKDTree(zero_crossing_points(field))
 
     def distance(self, points: np.ndarray) -> np.ndarray:
-        """Unsigned distance from each of the (n, dim) points."""
+        """Unsigned distance from each of the (n, dim) points.
+
+        The points are evaluated ``_CHUNK`` at a time. Each point's
+        arithmetic is its own, so the chunking leaves every value as it
+        would be in one evaluation."""
+        if len(points) <= _CHUNK:
+            return self._distance(points)
+        return np.concatenate([self._distance(points[lo : lo + _CHUNK]) for lo in range(0, len(points), _CHUNK)])
+
+    def _distance(self, points: np.ndarray) -> np.ndarray:
         if self.dim == 1:
             return np.abs(points - self._cloud[None, :]).min(axis=1)
         if self.dim > 2:

@@ -55,6 +55,9 @@ FLOW_THRESHOLD = 0.08  # its final-epsilon deviation allowed beyond 4 sigma
 FLOW_BOUNDARY_LAYER = 1.5  # its least sample depth, in eps |log eps| at the largest epsilon
 MCF_THRESHOLD = 0.1  # worst final deviation of an MCF duality estimate from its phase
 KURTOSIS_RTOL = 0.10  # relative tolerance of the lineage kurtosis against the Gaussian 3
+PROPAGATION_K2 = 2.0  # the 1-D profile's shift, in eps |log eps|
+PROPAGATION_C_ALLOW = 1.0  # the propagation allowance C_allow eps^k_power ...
+PROPAGATION_K_POWER = 2.0  # ... and its power of eps
 
 
 def _bundle_at(bundle: BundleLike, epsilon: float) -> ModelBundle:
@@ -527,18 +530,16 @@ def check_propagation_vs_1d(
     time_grid: Sequence[float],
     n_samples: int,
     rng_seed: int,
-    K2: float = 2.0,
-    C_allow: float = 1.0,
-    k_power: float = 2.0,
     n_points: int = 8,
 ) -> CheckReport:
     """Domination of the multi-d estimate by the shifted 1-D profile.
 
     For each time, sample points around the tilted surface's zero set
     and compare the multi-d estimate under (a + delta, b) data with the
-    1-D step-data profile evaluated at d(t, x) + K2 eps |log eps|. The
-    points of one time are the columns of one forest (`bundle_estimates`).
-    The allowance C_allow * eps^k_power absorbs the finite-eps comparison
+    1-D step-data profile evaluated at d(t, x) + PROPAGATION_K2 eps |log eps|.
+    The points of one time are the columns of one forest
+    (`bundle_estimates`). The allowance PROPAGATION_C_ALLOW *
+    eps^PROPAGATION_K_POWER absorbs the finite-eps comparison
     error; the statistic is the worst excess beyond the estimate's 4 sigma
     and the profile's error budget. A bundle without a voting kernel has
     no 1-D profile and is rejected at once.
@@ -565,7 +566,7 @@ def check_propagation_vs_1d(
         for j, t in enumerate(time_grid):
             dist = signed_distance(surface.at(t))
             # points spread in distance around the interface
-            band = np.abs(dist.values) <= 4.0 * K2 * scale
+            band = np.abs(dist.values) <= 4.0 * PROPAGATION_K2 * scale
             if not band.any():
                 band = np.abs(dist.values) <= np.quantile(np.abs(dist.values), 0.2)
             points = _select_mask_points(phi, band, dist.values, n_points)
@@ -573,13 +574,13 @@ def check_propagation_vs_1d(
             times += [t] * len(points)
             dists += dist.interp(np.array(points)).tolist()
         times = np.array(times)
-        z = np.array(dists) + K2 * scale
+        z = np.array(dists) + PROPAGATION_K2 * scale
         reach = 6.0 * math.sqrt(max(time_grid))
         step_data = _step_data_field(b_eps.a, b_eps.b, z.min() - reach, z.max() + reach, epsilon / 40.0)
         coarse, one_d = _reaction_diffusion_at(epsilon, b_eps.g, step_data, times, z[:, None])
         pde_budget = np.abs(coarse - one_d)
         worst = max(est.value - u - 4.0 * est.stderr - gap for est, u, gap in zip(multi, one_d, pde_budget))
-        allowance = C_allow * epsilon**k_power
+        allowance = PROPAGATION_C_ALLOW * epsilon**PROPAGATION_K_POWER
     return CheckReport(
         name="propagation_vs_1d",
         inputs={
@@ -588,9 +589,9 @@ def check_propagation_vs_1d(
             "alpha": alpha,
             "delta": delta,
             "time_grid": time_grid,
-            "K2": K2,
-            "C_allow": C_allow,
-            "k_power": k_power,
+            "K2": PROPAGATION_K2,
+            "C_allow": PROPAGATION_C_ALLOW,
+            "k_power": PROPAGATION_K_POWER,
             "n_samples": n_samples,
         },
         statistic=float(worst),

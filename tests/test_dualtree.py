@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dualflow.dualtree.forest
 import dualflow.models
 from dualflow.dualtree import (
     BranchingSpec,
@@ -335,8 +337,9 @@ def _recorded_nlv():
 
 # file under tests/data -> (leaf_prob, g) its recorded root value was voted
 # with: simulate_tree(ternary_bbm(0.3, 1).spec, [0.3], 0.25, rng_seed=21) and
-# the nlv_tree fixture's genealogy, both from the dict layout's simulator,
-# which decorated every NLV genealogy
+# simulate_tree(nonlinear_voter_dual(0.45, L=2, dim=3, ...).spec, [0, 0, 0],
+# 0.15, rng_seed=5), both from the dict layout's simulator, which decorated
+# every NLV genealogy
 RECORDED_TREES = {
     "tree_ternary_bbm_d1_seed21.json": _recorded_bbm,
     "tree_nlv_d3_seed5.json": _recorded_nlv,
@@ -406,14 +409,23 @@ class TestTreeJson:
 
 
 
+# the nlv_tree horizon: each lineage branches 1.5 times on average
+NLV_TREE_T = 1.5 * 0.45**2
+
+
 @pytest.fixture(scope="module")
 def nlv_tree():
     # a 5-ary genealogy; no combiner reads it, so it carries no decorations
     bundle = nonlinear_voter_dual(0.45, L=2, dim=3, gbar_samples=200, gbar_seed=1)
-    return bundle, simulate_tree(bundle.spec, [0.0, 0.0, 0.0], 0.15, rng_seed=5)
+    return bundle, simulate_tree(bundle.spec, [0.0, 0.0, 0.0], NLV_TREE_T, rng_seed=5)
 
 
 class TestDecoratedTree:
+    def test_nlv_tree_branches_repeatedly(self, nlv_tree):
+        _, tree = nlv_tree
+        events = sum(int(np.count_nonzero(~wave.is_leaf)) for wave in tree.waves)
+        assert events >= 5 and len(tree.waves) - 1 >= 3  # 7 events, 4 deep
+
     def test_json_roundtrip_keeps_decorations(self):
         # recorded when every NLV genealogy was decorated, with (5, 3)
         # displacements: the JSON layer keeps them as opaque arrays
@@ -441,7 +453,7 @@ class TestDecoratedTree:
         spied = dataclasses.replace(bundle, spec=spec)
         leaf = lambda P: np.clip(0.5 + 0.3 * P[:, 0], 0.0, 1.0)
         assert all(wave.decorations is None for wave in tree.waves)
-        simulate_tree(spec, [0.0, 0.0, 0.0], 0.15, rng_seed=5)
+        simulate_tree(spec, [0.0, 0.0, 0.0], NLV_TREE_T, rng_seed=5)
         forest_root_params(spec, [[0.0, 0.0, 0.0]], 0.15, [leaf], bundle.g, 20, derive_rng(1))
         check_equilibria(spied, 0.05, 20, 3)
         assert calls == []
@@ -667,3 +679,65 @@ class TestForestColumns:
             estimate_vote_probabilities(bundle.spec, bundle.kernel, starts, 0.08, [leaf], 10, 1)
         with pytest.raises(ArgumentError, match="starts"):
             estimate_vote_probabilities(bundle.spec, bundle.kernel, [[0.0, 0.0], [math.nan, 0.0]], 0.08, [leaf] * 2, 10, 1)
+
+
+
+class TestForestBlocks:
+    """A forest grows and votes its roots in blocks of about
+    _BLOCK_VERTICES expected vertices, drawn one after another from its
+    one generator."""
+
+    @staticmethod
+    def _case():
+        bundle = ternary_bbm(0.25, 1)
+        leaves = [lambda P: np.clip(0.5 + P[:, 0], 0.0, 1.0), lambda P: np.clip(0.4 + 2.0 * P[:, 0], 0.0, 1.0)]
+        return bundle, [[0.0], [0.1]], 0.1, leaves  # about 37 expected vertices per root
+
+    def test_blocks_are_consecutive_forests_on_one_generator(self, monkeypatch):
+        bundle, starts, t, leaves = self._case()
+        monkeypatch.setattr(dualflow.dualtree.forest, "_BLOCK_VERTICES", 2000)  # 54 roots a block
+        grown = []
+        grow = dualflow.dualtree.forest.grow_waves
+        monkeypatch.setattr(dualflow.dualtree.forest, "grow_waves", lambda *a, **k: grown.append(a[3]) or grow(*a, **k))
+        res = forest_root_params(bundle.spec, starts, t, leaves, bundle.kernel, 150, np.random.default_rng(8))
+        assert grown == [54, 54, 42]
+        rng = np.random.default_rng(8)
+        parts = [forest_root_params(bundle.spec, starts, t, leaves, bundle.kernel, n, rng) for n in (54, 54, 42)]
+        assert grown == [54, 54, 42] * 2  # each part is one block
+        assert res.root_params.tobytes() == np.concatenate([p.root_params for p in parts]).tobytes()
+        assert res.total_vertices == sum(p.total_vertices for p in parts)
+        assert res.total_leaves == sum(p.total_leaves for p in parts)
+        assert res.max_depth == max(p.max_depth for p in parts)
+        assert len({p.max_depth for p in parts}) > 1  # the depth is the deepest block's, not the last
+
+    def test_vertex_budget_spans_blocks(self, monkeypatch):
+        bundle, starts, t, leaves = self._case()
+        monkeypatch.setattr(dualflow.dualtree.forest, "_BLOCK_VERTICES", 2000)
+        run = lambda: forest_root_params(bundle.spec, starts, t, leaves, bundle.kernel, 400, np.random.default_rng(9))
+        grown = run().total_vertices
+        expected = 400 * math.exp(2 * 16 * t) * 1.5
+        assert expected < grown - 1  # 14,720 < 16,312: the up-front refusal passes below
+        # every block (about 2000 vertices) alone fits the budget; the blocks together do not
+        monkeypatch.setattr(dualflow.dualtree.forest, "DEFAULT_VERTEX_BUDGET", grown - 1)
+        with pytest.raises(ResourceError, match="exceeded the vertex budget"):
+            run()
+        monkeypatch.setattr(dualflow.dualtree.forest, "DEFAULT_VERTEX_BUDGET", grown)
+        assert run().total_vertices == grown
+        monkeypatch.setattr(dualflow.dualtree.forest, "DEFAULT_VERTEX_BUDGET", math.floor(expected) - 1)
+        with pytest.raises(ResourceError, match="expected ensemble size"):
+            run()
+
+    def test_peak_memory_is_one_block(self):
+        # the 20,000-root Allen-Cahn forest: 3.6M vertices in 7 blocks of
+        # 2^19; 38.7 MB traced when it was grown whole, 5.8 MB in blocks
+        bundle = ternary_bbm(0.25, 1)
+        leaf = lambda P: np.clip(0.5 + P[:, 0], 0.0, 1.0)
+        forest_root_params(bundle.spec, [[0.0]], 0.15, [leaf], bundle.kernel, 10, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            res = forest_root_params(bundle.spec, [[0.0]], 0.15, [leaf], bundle.kernel, 20_000, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.total_vertices > 6 * dualflow.dualtree.forest._BLOCK_VERTICES
+        assert peak <= 24 * dualflow.dualtree.forest._BLOCK_VERTICES  # bytes

@@ -378,6 +378,20 @@ class TestZeroSetKernel:
         assert ZeroSet(f).distance(points).tobytes() == _reference_segment_distance(segments, points).tobytes()
 
 
+    @pytest.mark.parametrize("name", ["line1d", "circle", "sphere3d"])
+    def test_chunks_equal_one_evaluation(self, name, monkeypatch):
+        import dualflow.pde.distance as distance
+
+        f = _distance_cases()[name]
+        rng = np.random.default_rng(5)
+        lo, hi = f.origin, f.origin + f.spacing * (np.array(f.values.shape) - 1)
+        points = rng.uniform(lo, hi, size=(2 * distance._CHUNK + 77, f.dim))
+        zero_set = ZeroSet(f)
+        chunked = zero_set.distance(points)
+        monkeypatch.setattr(distance, "_CHUNK", points.shape[0])
+        assert chunked.tobytes() == zero_set.distance(points).tobytes()
+
+
 class TestLazySignedDistance:
     @pytest.mark.parametrize("name", sorted(_distance_cases()))
     def test_node_subsets_match_signed_distance(self, name):
