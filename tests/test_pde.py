@@ -362,6 +362,34 @@ def _reference_segment_distance(segments, points):
     return np.sqrt(np.sum(off * off, axis=2).min(axis=1))
 
 
+def _every_segment_distance(segments, points):
+    """The segment kernel's minimum over every segment, 256 points at a time."""
+    a = segments[:, 0, :]
+    ab = segments[:, 1, :] - a
+    len2 = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 256):
+        p = points[lo : lo + 256, None, :]
+        t = np.clip(np.sum((p - a) * ab, axis=2) / len2, 0.0, 1.0)
+        off = p - (a + t[:, :, None] * ab)
+        out[lo : lo + 256] = np.sqrt(np.sum(off * off, axis=2).min(axis=1))
+    return out
+
+
+def _cosine_field(seed):
+    """A sum of four random plane cosines, shifted, on a random 2-D grid."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(12, 72, size=2))
+    h = float(rng.uniform(0.02, 0.1))
+    origin = rng.uniform(-1.5, 0.5, size=2)
+    x, y = np.meshgrid(origin[0] + h * np.arange(shape[0]), origin[1] + h * np.arange(shape[1]), indexing="ij")
+    values = np.zeros(shape)
+    for _ in range(4):
+        k = rng.normal(0.0, 0.4 / h, size=2)
+        values += rng.uniform(0.3, 1.0) * np.cos(k[0] * x + k[1] * y + rng.uniform(0, 2 * np.pi))
+    return ScalarField(2, origin, h, values - rng.uniform(-0.5, 0.5))
+
+
 class TestZeroSetKernel:
     @pytest.mark.parametrize("name", ["circle", "saddle", "small_circle", "one_segment", "non_square"])
     def test_matches_reference_kernel(self, name):
@@ -385,11 +413,37 @@ class TestZeroSetKernel:
         f = _distance_cases()[name]
         rng = np.random.default_rng(5)
         lo, hi = f.origin, f.origin + f.spacing * (np.array(f.values.shape) - 1)
-        points = rng.uniform(lo, hi, size=(2 * distance._CHUNK + 77, f.dim))
+        points = rng.uniform(lo, hi, size=(3000, f.dim))
         zero_set = ZeroSet(f)
+        monkeypatch.setattr(distance, "_CHUNK", 512)  # several chunks in every dimension
         chunked = zero_set.distance(points)
-        monkeypatch.setattr(distance, "_CHUNK", points.shape[0])
+        monkeypatch.setattr(distance, "_CHUNK", 1 << 40)
         assert chunked.tobytes() == zero_set.distance(points).tobytes()
+
+    @pytest.mark.parametrize("seed", [*range(24), 229, 357])
+    def test_exact_against_every_segment(self, seed):
+        # seeds 229 and 357 hold a point whose nearest segment was not among
+        # the 12 with the nearest midpoints, the candidates of a former search
+        f = _cosine_field(seed)
+        try:
+            segments = zero_set_segments(f)
+        except ArgumentError:
+            pytest.skip("single-signed field")
+        rng = np.random.default_rng(seed + 1000)
+        lo = f.origin - 3 * f.spacing
+        hi = f.origin + f.spacing * (np.array(f.values.shape) + 2)
+        inside_and_out = rng.uniform(lo, hi, size=(500, 2))
+        points = np.vstack([f.coordinates(), inside_and_out, rng.normal(0.0, 50.0, size=(20, 2))])
+        assert ZeroSet(f).distance(points).tobytes() == _every_segment_distance(segments, points).tobytes()
+
+    @pytest.mark.parametrize("name", ["line1d", "circle", "sphere3d"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, name, bad):
+        f = _distance_cases()[name]
+        points = np.zeros((3, f.dim))
+        points[1, -1] = bad
+        with pytest.raises(ArgumentError, match="finite"):
+            ZeroSet(f).distance(points)
 
 
 class TestLazySignedDistance:
@@ -409,6 +463,16 @@ class TestLazySignedDistance:
         f = _distance_cases()[name]
         full = np.abs(signed_distance(f).values.ravel())
         for r0 in (1e-3, 0.05, 0.25, 0.5, 1.5):
+            assert np.array_equal(LazySignedDistance(f, f.coordinates()).band(r0), full < r0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_band_mask_on_random_fields(self, seed):
+        f = _cosine_field(seed)
+        try:
+            full = np.abs(signed_distance(f).values.ravel())
+        except ArgumentError:
+            pytest.skip("single-signed field")
+        for r0 in (0.5 * f.spacing, 3 * f.spacing, 0.4):
             assert np.array_equal(LazySignedDistance(f, f.coordinates()).band(r0), full < r0)
 
     @pytest.mark.parametrize("name", ["zero_nodes_circle", "plane", "line1d", "sphere3d"])
@@ -439,18 +503,15 @@ class TestLazySignedDistance:
     def test_band_queries_under_half_the_nodes(self):
         f = circle_field(n=128, half=2.0)
         lazy = LazySignedDistance(f, f.coordinates())
-        tree = lazy.zero_set.tree
+        tiles = lazy.zero_set.tiles
+        nearest_midpoint = tiles.nearest_midpoint
         queried = []
 
-        class CountingTree:
-            data = tree.data
+        def counting(points, tile):
+            queried.append(len(points))
+            return nearest_midpoint(points, tile)
 
-            def query(self, points, **kwargs):
-                if "distance_upper_bound" in kwargs:  # the nearest-midpoint query, not `distance`
-                    queried.append(len(points))
-                return tree.query(points, **kwargs)
-
-        lazy.zero_set.tree = CountingTree()
+        tiles.nearest_midpoint = counting
         lazy.band(0.35)
         assert 0 < sum(queried) < 0.5 * f.values.size
 
@@ -788,14 +849,19 @@ class TestInterpBitIdentical:
         assert np.all(out == 0.0) and not np.signbit(out).any()
 
 
-def test_scipy_spatial_is_imported_only_when_a_distance_is_built():
+def test_scipy_spatial_is_imported_only_for_a_3d_distance():
     import dualflow
 
     code = (
         "import sys, dualflow.verify.checks, dualflow.models\n"
         "assert 'scipy.spatial' not in sys.modules, 'imported at load'\n"
-        "from dualflow.pde import field_from_function, signed_distance\n"
+        "from dualflow.pde import LazySignedDistance, field_from_function, signed_distance\n"
         "signed_distance(field_from_function(lambda P: P[:, 0], origin=[-1.0], spacing=0.5, extents=[5]))\n"
+        "plane = field_from_function(lambda P: P[:, 0] + 0.3 * P[:, 1], origin=[-1, -1], spacing=0.1, extents=[21, 21])\n"
+        "signed_distance(plane)\n"
+        "LazySignedDistance(plane, plane.coordinates()).band(0.3)\n"
+        "assert 'scipy.spatial' not in sys.modules, 'imported by a 1-D or 2-D distance'\n"
+        "signed_distance(field_from_function(lambda P: P[:, 0], origin=[-1.0] * 3, spacing=0.5, extents=[5] * 3))\n"
         "assert 'scipy.spatial' in sys.modules\n"
     )
     src = str(Path(dualflow.__file__).resolve().parents[1])
