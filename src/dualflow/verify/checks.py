@@ -27,7 +27,7 @@ from ..pde.distance import LazySignedDistance, signed_distance
 from ..pde.field import ScalarField
 # no check calls curvature_envelope_fields (TiltedSurface does); perfbench/spans.py patches it here too
 from ..pde.levelsets import TiltedSurface, curvature_envelope_fields  # noqa: F401
-from ..pde.reaction import DEFAULT_SAFETY, solve_reaction_diffusion
+from ..pde.reaction import DEFAULT_SAFETY, fast_grid_size, solve_reaction_diffusion
 from ..rng import derive_rng
 from .report import CheckReport, timed_report
 
@@ -515,9 +515,10 @@ def check_interface_formation(
 
 def _step_data_field(a: float, b: float, lo: float, hi: float, spacing: float) -> ScalarField:
     """a on z < 0 and b on z >= 0, on the nodes (k + 1/2) * spacing that
-    cover [lo, hi]: the step lies midway between two nodes, where
-    `_refined` keeps it."""
-    k = np.arange(math.floor(lo / spacing - 0.5), math.ceil(hi / spacing - 0.5) + 1)
+    cover [lo, hi], continued past hi to a `fast_grid_size` node count: the
+    step lies midway between two nodes, where `_refined` keeps it."""
+    first = math.floor(lo / spacing - 0.5)
+    k = first + np.arange(fast_grid_size(math.ceil(hi / spacing - 0.5) + 1 - first))
     return ScalarField(1, [(k[0] + 0.5) * spacing], spacing, np.where(k >= 0, b, a))
 
 

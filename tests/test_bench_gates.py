@@ -25,7 +25,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
-    "ternary_interface": "d50a15ebf2594306",
+    "ternary_interface": "c2303e217e6d6089",
     "nlv_coalescence": "0cc679f606744c83",
     "curvature_pde": "d9f3b7a3adbdda35",
 }

@@ -29,7 +29,8 @@ from dualflow.pde import (
     zero_crossing_points,
 )
 from dualflow.pde.distance import ZeroSet, zero_set_segments
-from dualflow.pde.reaction import DEFAULT_SAFETY
+from dualflow.pde.reaction import DEFAULT_SAFETY, fast_grid_size, neumann_solver
+from dualflow.verify import checks
 
 
 def circle_field(n=128, half=2.0, r0=1.0, squared=True):
@@ -667,8 +668,8 @@ class TestSupersolution:
 
 
 PINNED_REACTION = {
-    "1d": "fe521c6b1b0d3e2f2a278e68bdd8dadb82b9f466c363a97a6858a1c4d69908af",
-    "2d": "aeee81fac98e1992f6f50006a5ab7d4d8f1bd7139b0dae0daa4783c893053d08",
+    "1d": "01f9768edd4a03623b1bb6f8bcfef046553475ae33449570ff065e0b24888f2c",
+    "2d": "4d5422733ab038322966fe4166fd728bb9851a9eb8d7020513f03905c6c0bb56",
 }
 
 
@@ -746,7 +747,7 @@ class TestReactionDiffusion:
 
     @pytest.mark.parametrize("name", sorted(PINNED_REACTION))
     def test_solution_digest_pinned(self, name):
-        # SHA-256 of the semi-implicit solution (LAPACK's tridiagonal solver)
+        # SHA-256 of the semi-implicit solution (one DCT solve of the whole grid per step)
         rng = np.random.default_rng(31)
         p0 = {
             "1d": field_from_function(lambda P: (P[:, 0] >= 0.1).astype(float), origin=[-2.0], spacing=0.01, extents=[401]),
@@ -754,6 +755,82 @@ class TestReactionDiffusion:
         }[name]
         out = solve_reaction_diffusion(0.2, kernel_g(majority_kernel()), 1.0, p0, T=0.0131)
         assert hashlib.sha256(out.values.tobytes()).hexdigest() == PINNED_REACTION[name]
+
+
+def _neumann_matrix(shape, c):
+    """I - c D assembled densely, D the sum over axes of the second
+    difference whose wall nodes repeat themselves as their missing neighbour."""
+    lap = np.zeros((math.prod(shape),) * 2)
+    for k, n in enumerate(shape):
+        d = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1) - 2.0 * np.eye(n)
+        d[0, 0] += 1.0
+        d[-1, -1] += 1.0
+        term = np.ones((1, 1))
+        for j, m in enumerate(shape):
+            term = np.kron(term, d if j == k else np.eye(m))
+        lap += term
+    return np.eye(len(lap)) - c * lap
+
+
+class TestNeumannSolver:
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (7, 9), (1, 6), (4, 5, 3), (6, 1, 2)])
+    @pytest.mark.parametrize("c", [0.37, 25.0])
+    def test_matches_dense_solve(self, shape, c):
+        r = np.random.default_rng(len(shape) * 100 + shape[0]).standard_normal(shape)
+        x = neumann_solver(shape, c)(r)
+        assert x.shape == r.shape
+        assert np.max(np.abs(x - np.linalg.solve(_neumann_matrix(shape, c), r.ravel()).reshape(shape))) <= 1e-14
+
+    def test_one_node_axes_are_the_identity(self):
+        r = np.random.default_rng(5).standard_normal((1, 1))
+        assert np.array_equal(neumann_solver((1,), 3.0)(r[0]), r[0])
+        assert np.array_equal(neumann_solver((1, 1), 3.0)(r), r)
+
+    @pytest.mark.parametrize("shape", [(600,), (3360,), (64, 48), (12, 10, 9)])
+    def test_step_data_stays_in_unit_interval(self, shape):
+        # I - c D is an M-matrix, so 0 <= r <= 1 gives 0 <= x <= 1; the
+        # transforms may add rounding of a few ulps
+        rng = np.random.default_rng(sum(shape))
+        ulps = 8 * np.finfo(float).eps
+        for c in (0.01, 1.0, 400.0):
+            r = (rng.random(shape) < 0.5).astype(float)
+            x = neumann_solver(shape, c)(r)
+            assert x.min() >= -ulps and x.max() <= 1.0 + ulps
+
+    def test_fast_grid_size(self):
+        assert [fast_grid_size(n) for n in (1, 2, 11, 13, 600, 1653, 1657)] == [1, 2, 12, 14, 600, 1680, 1680]
+        # the 1-D comparison profile's step data: 1654 nodes cover [-1.7, 2.43], 1680 are laid
+        data = checks._step_data_field(0.0, 1.0, -1.7, 2.43, 0.0025)
+        z = data.axes()[0]
+        assert z.size == 1680 and z[0] <= -1.7 and z[-27] >= 2.43
+        assert np.array_equal(data.values, (z >= 0).astype(float))
+
+
+def _nagumo_error(kernel, b, wave, eps, T):
+    """max |u - U| on |z| < 0.8 after T from (0, b) step data at h = eps/40
+    on nodes covering [-3, 3], U the exact standing wave of
+    u_t = u_zz/2 + eps^-2 (g(u) - u)."""
+    data = checks._step_data_field(0.0, b, -3.0, 3.0, eps / 40)
+    u = solve_reaction_diffusion(eps, kernel_g(kernel), 1.0, data, T).values
+    z = data.axes()[0]
+    near = np.abs(z) < 0.8
+    return float(np.max(np.abs(u[near] - wave(z[near] / eps))))
+
+
+class TestNagumoWave:
+    # Bounds fixed from the tridiagonal (LAPACK) solver the DCT solve
+    # replaced, which gave 1.76e-5 and 8.8e-6 (majority) and 8.25e-5 (pair)
+    @pytest.mark.parametrize("eps, T", [(0.2, 0.5), (0.1, 0.2)])
+    def test_majority_voting(self, eps, T):
+        # g(u) - u = u (1 - u)(2u - 1): U(z) = 1 / (1 + exp(-sqrt(2) z / eps))
+        wave = lambda s: 1.0 / (1.0 + np.exp(-math.sqrt(2.0) * s))
+        assert _nagumo_error(majority_kernel(), 1.0, wave, eps, T) <= 5e-5
+
+    def test_pair_model(self):
+        # g(u) - u = -u (3u - 1)(3u - 2) / 11: U(z) = (2/3) / (1 + exp(-2 z / (sqrt(11) eps)))
+        wave = lambda s: (2.0 / 3.0) / (1.0 + np.exp(-2.0 * s / math.sqrt(11.0)))
+        kernel = ExchangeableKernel((0.0, 3.0 / 11.0, 9.0 / 11.0, 9.0 / 11.0))
+        assert _nagumo_error(kernel, 2.0 / 3.0, wave, 0.1, 0.5) <= 2e-4
 
 
 class TestFieldIO:
@@ -867,6 +944,31 @@ def test_scipy_spatial_is_imported_only_for_a_3d_distance():
     src = str(Path(dualflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_reaction_diffusion_loads_no_scipy_linalg():
+    # the Neumann solve is numpy's FFT; scipy.linalg takes ~28 MB and ~0.2 s to load
+    import dualflow
+
+    root = Path(dualflow.__file__).resolve().parents[2]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "import numpy as np, workloads\n"
+        "from pathlib import Path\n"
+        "from dualflow.gfunction import kernel_g, majority_kernel\n"
+        "from dualflow.pde import ScalarField, solve_reaction_diffusion\n"
+        "g = kernel_g(majority_kernel())\n"
+        "for shape in [(40,), (12, 9)]:\n"
+        "    solve_reaction_diffusion(0.2, g, 1.0, ScalarField(len(shape), [0.0] * len(shape), 0.05, np.full(shape, 0.3)), 0.01)\n"
+        "cls = workloads.WORKLOADS['ternary_interface']\n"
+        "w = cls(Path(sys.argv[1]), Path(sys.argv[1]) / '.perfbench-out')\n"
+        "assert all(passed for _, passed, _ in w.solve(w.setup(7, cls.sizes['smoke'], 0)).gates)\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy.linalg')]\n"
+        "assert loaded == [], loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code, str(root)], check=True, env=env)
 
 
 def test_benchmark_imports_load_no_slow_scipy_module():
