@@ -6,13 +6,14 @@ function u reads
 
     du/dt = (1/2) tr[(I - Du (x) Du / |Du|^2) D^2 u].
 
-The operator is evaluated pointwise by f_star / f_lstar (upper / lower
-envelopes at Du = 0) and the evolution uses an explicit central-difference
-scheme with the gradient regularized by |Du|^2 + reg_delta^2.
+f_star / f_lstar evaluate the operator (upper / lower envelopes at Du = 0).
+The evolution is an explicit central-difference scheme on |Du|^2 + reg_delta^2,
+fused into one update in unscaled differences per block of rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,8 +23,8 @@ from .field import ScalarField
 
 __all__ = ["f_star", "f_lstar", "evolve_mcf_levelset", "curvature_rhs"]
 
-# nodes per block of a level-set step: a block's dozen work arrays then fit
-# in a 2 MB cache (64 rows of a 256^2 grid)
+# nodes per block of a level-set step: a block's work arrays (eight in 2-D)
+# then fit in a 2 MB cache (64 rows of a 256^2 grid)
 _BLOCK_NODES = 1 << 14
 
 
@@ -70,92 +71,95 @@ def _refresh_rim(up: np.ndarray) -> None:
         up[before + (-1,)] = up[before + (-2,)]
 
 
-class _Stencil:
-    """Central differences on a block of rows of a `_padded` buffer, written
-    into reused work arrays.
+def _shifted(up: np.ndarray, shift: dict[int, int], axes: range | None = None) -> np.ndarray:
+    """The interior of a `_padded` buffer moved by shift (axis -> +-1)
+    along `axes` (default: all), whole along the others."""
+    axes = range(up.ndim) if axes is None else axes
+    return up[tuple(slice(1 + shift.get(k, 0), n - 1 + shift.get(k, 0)) if k in axes else slice(None)
+                    for k, n in enumerate(up.shape))]
 
-    `up` holds the block's rows plus one neighbour row on each side, and
-    `u` is the block's interior, a view. Blocks of one grid may share
-    `work` (arrays with at least as many rows as the block), so that only
-    one block's worth of derivatives is live at a time. Each derivative
-    takes the operations of the plain expression in its comment, in the
-    same order, and sums start from 0 as Python's ``sum`` does (0 + -0.0
-    is +0.0), so the results are those of the expressions, bit for bit.
+
+def _gradient(up: np.ndarray, h: float) -> list[np.ndarray]:
+    """Du by central differences on the interior of a `_padded` buffer, by
+    the operations of `_gradient_norm_at`, so |Du| equals it bit for bit."""
+    return [(_shifted(up, {k: 1}) - _shifted(up, {k: -1})) / (2 * h) for k in range(up.ndim)]
+
+
+def _curvature_terms(u: np.ndarray, h: float) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+    """The curvature envelopes' terms by central differences with Neumann
+    walls: D^2 u by index pair (k <= l), |Du|^2, Lap u and Du^T D^2 u Du."""
+    up = _padded(u)
+    dim = up.ndim
+    d1 = _gradient(up, h)
+    d2 = {(k, k): (_shifted(up, {k: 1}) - 2 * _shifted(up, {}) + _shifted(up, {k: -1})) / h**2 for k in range(dim)}
+    quad = sum(d1[k] * d1[k] * d2[(k, k)] for k in range(dim))
+    for k, l in itertools.combinations(range(dim), 2):
+        c = [_shifted(up, {k: sk, l: sl}) for sk, sl in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        d2[(k, l)] = (c[0] - c[1] - c[2] + c[3]) / (4 * h**2)
+        quad = quad + 2 * d1[k] * d1[l] * d2[(k, l)]
+    return d2, sum(d * d for d in d1), sum(d2[(k, k)] for k in range(dim)), quad
+
+
+class _FusedCurvature:
+    """The curvature term of the level-set step on one block of rows of a
+    `_padded` buffer, in unscaled differences and reused work arrays.
+
+    `upb` holds the block's rows plus one neighbour row on each side. With
+    a_k = u(+e_k) - u(-e_k), S_k = u(+e_k) + u(-e_k) - 2u, the cross
+    difference c_kl = a_l(+e_k) - a_l(-e_k) and G = sum_k a_k^2 + eps2,
+
+        N = sum_k S_k (G - a_k^2) - 1/2 sum_{k<l} a_k a_l c_kl,
+
+    N / (2 h^2 G) is (1/2) tr[(I - Du Du^T / (|Du|^2 + reg^2)) D^2 u] for
+    eps2 = (2 h reg)^2: every other power of h cancels. a_l is formed on
+    the rim too along each axis k < l, so that each c_kl is the difference
+    of two shifted views of it. Blocks of one grid may share `work`, sized
+    by the first (largest) block.
     """
 
-    def __init__(self, up: np.ndarray, h: float, work: list[np.ndarray] | None = None):
-        dim = up.ndim
-        shape = tuple(n - 2 for n in up.shape)
-        self.h = h
-        self.dim = dim
+    def __init__(self, upb: np.ndarray, eps2: float, work: np.ndarray | None = None):
+        dim = upb.ndim
+        self.eps2 = eps2
+        self.u = _shifted(upb, {})
+        self._hi_lo = [tuple(_shifted(upb, {k: s}) for s in (1, -1)) for k in range(dim)]
+        self._a_from = [tuple(_shifted(upb, {l: s}, range(l, dim)) for s in (1, -1)) for l in range(dim)]
+        shapes = [self.u.shape] * (dim + 4) + [hi.shape for hi, _ in self._a_from]  # the last is the largest
+        self.work = np.empty((len(shapes), math.prod(shapes[-1]))) if work is None else work
+        views = [w[: math.prod(shape)].reshape(shape) for w, shape in zip(self.work, shapes)]
+        self._two_u, self._s, self._g, self._n = views[:4]
+        self._sq, self._a_full = views[4 : dim + 4], views[dim + 4 :]
+        self._a = [_shifted(a, {}, range(l)) for l, a in enumerate(self._a_full)]
+        self._cross = [  # a_k, a_l and the two views whose difference is c_kl
+            (self._a[k], self._a[l], _shifted(a, {k: 1}, range(l)), _shifted(a, {k: -1}, range(l)))
+            for l, a in enumerate(self._a_full)
+            for k in range(l)
+        ]
 
-        def view(shift: dict[int, int]) -> np.ndarray:
-            return up[tuple(slice(1 + shift.get(k, 0), 1 + shift.get(k, 0) + shape[k]) for k in range(dim))]
-
-        self.u = view({})
-        self._hi = [view({k: 1}) for k in range(dim)]
-        self._lo = [view({k: -1}) for k in range(dim)]
-        self._cross = {
-            (k, l): (view({k: 1, l: 1}), view({k: 1, l: -1}), view({k: -1, l: 1}), view({k: -1, l: -1}))
-            for k in range(dim)
-            for l in range(k + 1, dim)
-        }
-        pairs = [(k, l) for k in range(dim) for l in range(k, dim)]
-        if work is None:
-            work = [np.empty(shape) for _ in range(dim + len(pairs) + 4)]
-        self.work = work
-        rows = iter(w[: shape[0]] for w in work)
-        self.d1 = [next(rows) for _ in range(dim)]
-        self.d2 = {pair: next(rows) for pair in pairs}
-        self.grad2, self.lap, self.quad, self.tmp = rows
-
-    def laplacian(self) -> np.ndarray:
-        """sum(D^2_kk u for k), into `lap`; fills the D^2_kk u of `d2`."""
-        self.lap.fill(0.0)
-        for k in range(self.dim):
-            d = self.d2[(k, k)]  # (up[hi] - 2 * u + up[lo]) / h**2
-            np.multiply(self.u, 2, out=d)
-            np.subtract(self._hi[k], d, out=d)
-            d += self._lo[k]
-            d /= self.h**2
-            self.lap += d
-        return self.lap
-
-    def curvature_terms(self) -> None:
-        """Fill `d1`, `d2`, `grad2` = |Du|^2, `lap` and `quad` = Du^T D^2 u Du."""
-        h = self.h
-        for k, d in enumerate(self.d1):  # (up[hi] - up[lo]) / (2 * h)
-            np.subtract(self._hi[k], self._lo[k], out=d)
-            d /= 2 * h
-        for (k, l), (pp, pm, mp, mm) in self._cross.items():
-            d = self.d2[(k, l)]  # (up[pp] - up[pm] - up[mp] + up[mm]) / (4 * h**2)
-            np.subtract(pp, pm, out=d)
-            d -= mp
-            d += mm
-            d /= 4 * h**2
-        self.laplacian()
-        tmp = self.tmp
-        self.grad2.fill(0.0)
-        self.quad.fill(0.0)
-        for k, d in enumerate(self.d1):
-            np.multiply(d, d, out=tmp)  # grad2 += d * d
-            self.grad2 += tmp
-            tmp *= self.d2[(k, k)]  # quad += d * d * D^2_kk u
-            self.quad += tmp
-        for (k, l) in self._cross:
-            np.multiply(self.d1[k], 2, out=tmp)  # quad += 2 * d_k * d_l * D^2_kl u
-            tmp *= self.d1[l]
-            tmp *= self.d2[(k, l)]
-            self.quad += tmp
-
-    def curvature_rhs(self, reg_delta: float, out: np.ndarray) -> np.ndarray:
-        """0.5 * (lap - quad / (grad2 + reg_delta**2)) into `out`, after
-        `curvature_terms`."""
-        np.add(self.grad2, reg_delta**2, out=out)
-        np.divide(self.quad, out, out=out)
-        np.subtract(self.lap, out, out=out)
-        out *= 0.5
-        return out
+    def __call__(self, scale: float) -> np.ndarray:
+        """scale * N / G, in a work array."""
+        two_u, s, g, n, sq = self._two_u, self._s, self._g, self._n, self._sq
+        np.multiply(self.u, 2, out=two_u)
+        for k, ((hi, lo), full, a) in enumerate(zip(self._a_from, self._a_full, self._a)):
+            np.subtract(hi, lo, out=full)
+            np.multiply(a, a, out=sq[k])
+            np.add(g if k else self.eps2, sq[k], out=g)  # G
+        for k, (hi, lo) in enumerate(self._hi_lo):
+            np.add(hi, lo, out=s)  # S_k
+            s -= two_u
+            term = sq[k] if k else n  # S_k * (G - a_k^2)
+            np.subtract(g, sq[k], out=term)
+            term *= s
+            if k:
+                n += term
+        for a_k, a_l, plus, minus in self._cross:  # 1/2 a_k a_l c_kl
+            np.subtract(plus, minus, out=s)
+            s *= a_k
+            s *= a_l
+            s *= 0.5
+            n -= s
+        n /= g
+        n *= scale
+        return n
 
 
 def _gradient_norm_at(u: np.ndarray, h: float, flat: np.ndarray) -> np.ndarray:
@@ -175,10 +179,8 @@ def _gradient_norm_at(u: np.ndarray, h: float, flat: np.ndarray) -> np.ndarray:
 
 
 def curvature_rhs(u: np.ndarray, h: float, reg_delta: float) -> np.ndarray:
-    """(1/2) tr[(I - Du Du^T / (|Du|^2 + reg^2)) D^2 u] on the grid."""
-    stencil = _Stencil(_padded(u), h)
-    stencil.curvature_terms()
-    return stencil.curvature_rhs(reg_delta, np.empty(stencil.u.shape))
+    """(1/2) tr[(I - Du Du^T / (|Du|^2 + reg^2)) D^2 u] on the grid, by the step's kernel."""
+    return _FusedCurvature(_padded(u), (2 * h * reg_delta) ** 2)(1 / (2 * h * h))
 
 
 def evolve_mcf_levelset(
@@ -193,8 +195,9 @@ def evolve_mcf_levelset(
     stability bound 1/(2*dim). The default is min(0.2, 0.4/dim): 0.2 in
     one and two dimensions, four fifths of the bound above. NaN
     appearance aborts with a diagnostic.
-    The steps reuse one padded buffer and one set of work arrays, and
-    evaluate the right-hand side in blocks of rows that fit in cache.
+    Each step is u + dt / (2 h^2) * N / G (see `_FusedCurvature`), made in
+    blocks of rows that fit in cache and written straight into a second
+    padded buffer, which then becomes the current one.
     """
     if not (math.isfinite(T) and T >= 0):
         raise ArgumentError("T must be finite and nonnegative")
@@ -210,27 +213,27 @@ def evolve_mcf_levelset(
     h = u0.spacing
     dt = cfl * h * h
     n_steps = int(np.ceil(T / dt)) if T > 0 else 0
-    up = _padded(u0.values)
-    u = up[(slice(1, -1),) * dim]
-    rhs = np.empty(u.shape)
+    eps2 = (2 * h * reg_delta) ** 2
     # blocks of whole rows, at most _BLOCK_NODES nodes (or one row) each,
-    # sharing the first block's work arrays
-    rows = max(1, _BLOCK_NODES // math.prod(u.shape[1:]))
-    first = _Stencil(up[: rows + 2], h)
-    blocks = [(0, first)]
-    blocks += [(r, _Stencil(up[r : r + rows + 2], h, first.work)) for r in range(rows, u.shape[0], rows)]
+    # sharing work arrays; step s reads bufs[s % 2] through plans[s % 2]
+    rows = max(1, _BLOCK_NODES // math.prod(u0.values.shape[1:]))
+    bufs = (_padded(u0.values), _padded(u0.values))
+    work = _FusedCurvature(bufs[0][: rows + 2], eps2).work
+    plans = [
+        [(_FusedCurvature(src[r : r + rows + 2], eps2, work), _shifted(dst[r : r + rows + 2], {}))
+         for r in range(0, len(u0.values), rows)]
+        for src, dst in zip(bufs, bufs[::-1])
+    ]
     t = 0.0
     for step in range(n_steps):
         step_dt = min(dt, T - t)
-        for r, block in blocks:
-            block.curvature_terms()
-            block.curvature_rhs(reg_delta, rhs[r : r + rows])
-        rhs *= step_dt  # u = u + step_dt * rhs
-        u += rhs
-        _refresh_rim(up)
+        for block, out in plans[step % 2]:
+            np.add(block.u, block(step_dt / (2 * h * h)), out=out)
+        _refresh_rim(bufs[1 - step % 2])
         t += step_dt
-        if step % 64 == 0 and not np.all(np.isfinite(u)):
+        if step % 64 == 0 and not np.all(np.isfinite(bufs[1 - step % 2])):
             raise ArgumentError(f"level-set evolution produced NaN at step {step}, t={t:.4g}")
+    u = _shifted(bufs[n_steps % 2], {})
     if not np.all(np.isfinite(u)):
         raise ArgumentError("level-set evolution produced NaN")
     return ScalarField(dim, u0.origin.copy(), h, u.copy(), time_stamp=u0.time_stamp + T)

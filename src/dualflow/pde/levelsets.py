@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ArgumentError
-from .curvature import _gradient_norm_at, _padded, _Stencil
+from .curvature import _curvature_terms, _gradient_norm_at
 from .distance import LazySignedDistance, signed_distance  # noqa: F401 (perfbench/spans.py times this name)
 from .field import ScalarField
 
@@ -44,9 +44,7 @@ def curvature_envelope_fields(phi: ScalarField) -> tuple[np.ndarray, np.ndarray,
     """(F_lower, F_upper, |Dphi|) evaluated on the grid by central
     differences, with the eigenvalue envelopes at vanishing gradients."""
     dim = phi.dim
-    stencil = _Stencil(_padded(phi.values), phi.spacing)
-    stencil.curvature_terms()
-    d2, grad2, lap, quad = stencil.d2, stencil.grad2, stencil.lap, stencil.quad
+    d2, grad2, lap, quad = _curvature_terms(phi.values, phi.spacing)
     safe = grad2 > _GRAD_EPS
     common = -0.5 * (lap - np.divide(quad, grad2, out=np.zeros_like(quad), where=safe))
     f_lower = common.copy()

@@ -22,7 +22,7 @@ from ..models import ModelBundle
 from ..onedim import BRANCH_GAMMA, _require_kernel
 # no check calls bbm1d_vote_prob; perfbench/spans.py patches it here to time 1-D Monte Carlo
 from ..onedim import bbm1d_vote_prob  # noqa: F401
-from ..pde.curvature import _gradient_norm_at, evolve_mcf_levelset
+from ..pde.curvature import _gradient, _padded, evolve_mcf_levelset
 from ..pde.distance import LazySignedDistance, signed_distance
 from ..pde.field import ScalarField
 # no check calls curvature_envelope_fields (TiltedSurface does); perfbench/spans.py patches it here too
@@ -58,6 +58,7 @@ KURTOSIS_RTOL = 0.10  # relative tolerance of the lineage kurtosis against the G
 PROPAGATION_K2 = 2.0  # the 1-D profile's shift, in eps |log eps|
 PROPAGATION_C_ALLOW = 1.0  # the propagation allowance C_allow eps^k_power ...
 PROPAGATION_K_POWER = 2.0  # ... and its power of eps
+ITO_STEPS = 64  # Euler steps of an Ito drift path over [0, s]
 
 
 def _bundle_at(bundle: BundleLike, epsilon: float) -> ModelBundle:
@@ -621,15 +622,15 @@ def check_ito_coupling_drift(
     n_paths: int,
     rng_seed: int,
     x=None,
-    n_steps: int = 64,
     budget: Optional[float] = None,
 ) -> CheckReport:
     """Brownian paths see the distance process as a supermartingale with
     drift at most -alpha / (4 L).
 
-    Runs Euler paths from x, evaluates the signed distance to the tilted
-    surface along them (frozen at the first exit from the band), and
-    tests E[d at s^Lambda] <= d(t,x) - alpha/(4L) E[s^Lambda] up to
+    Runs Euler paths of ITO_STEPS steps from x, evaluates the signed
+    distance to the tilted surface along them (frozen at the first exit
+    from the band), and tests
+    E[d at s^Lambda] <= d(t,x) - alpha/(4L) E[s^Lambda] up to
     4 sigma plus a discretization budget. With alpha = 0 and planar phi
     the process is an exact martingale.
 
@@ -642,9 +643,8 @@ def check_ito_coupling_drift(
     """
     if not (math.isfinite(t) and 0 < s <= t):
         raise ArgumentError("need 0 < s <= t, t finite")
-    for name, count, least in (("n_paths", n_paths, 2), ("n_steps", n_steps, 1)):
-        if not isinstance(count, (int, np.integer)) or count < least:
-            raise ArgumentError(f"need an integer {name} >= {least}")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 2:
+        raise ArgumentError("need an integer n_paths >= 2")
     if not (math.isfinite(band_r0) and band_r0 > 0):
         raise ArgumentError("band_r0 must be finite and positive")
     if x is None:
@@ -660,10 +660,9 @@ def check_ito_coupling_drift(
     rng = derive_rng(rng_seed, 0x170)
     with timed_report() as box:
         surface = TiltedSurface(phi, alpha)
-        taus = t - np.linspace(0.0, s, n_steps + 1)  # backward times along the path
+        taus = t - np.linspace(0.0, s, ITO_STEPS + 1)  # backward times along the path
         coords = phi.coordinates()
-        nodes = np.arange(coords.shape[0])
-        dt_step = s / n_steps
+        dt_step = s / ITO_STEPS
         pos = np.tile(x, (n_paths, 1))  # the live paths' positions
         alive = np.arange(n_paths)
         time_in = np.zeros(n_paths)
@@ -673,7 +672,7 @@ def check_ito_coupling_drift(
             psi = surface.at(tau)
             if dist is None or not np.array_equal(psi.values, dist.field.values):
                 dist = LazySignedDistance(psi, coords)
-                grad = _gradient_norm_at(psi.values, phi.spacing, nodes)
+                grad = np.sqrt(sum(d * d for d in _gradient(_padded(psi.values), phi.spacing))).ravel()
                 rising = np.flatnonzero(grad > L)
                 in_band = rising[dist.band(band_r0, rising)]
                 if in_band.size:
@@ -707,7 +706,7 @@ def check_ito_coupling_drift(
             "s": s,
             "band_r0": band_r0,
             "n_paths": n_paths,
-            "n_steps": n_steps,
+            "n_steps": ITO_STEPS,
             "x": x.tolist(),
         },
         statistic=float(statistic),

@@ -295,7 +295,7 @@ class TestItoDrift:
         [
             {"n_paths": 1},
             {"n_paths": 0},
-            {"n_steps": 0},
+            {"s": 0.2},  # s > t
             {"band_r0": 0.0},
             {"band_r0": -0.5},
             {"band_r0": math.nan},
@@ -304,7 +304,7 @@ class TestItoDrift:
             {"budget": math.nan},
             {"budget": -1.0},
             {"n_paths": 10.5},
-            {"n_steps": 2.5},
+            {"t": math.inf},
         ],
     )
     def test_bad_arguments_rejected(self, override):
