@@ -19,10 +19,10 @@ per wave that has leaves, deepest wave first.
 
 Each column has its own backward pass over the stored waves. A pass
 draws nothing: what a vote needs at random (the nonlinear voter's
-coalescence partitions) was drawn once during growth, as the waves'
-decorations. Column 0 is therefore bit for bit the one-column forest,
-and column k the one-column forest whose leaf function is shifted by
-x_k - x_0.
+coalescence partitions) was drawn during growth, by one
+``decoration_fn`` call per block, as the waves' decorations. Column 0
+is therefore bit for bit the one-column forest, and column k the
+one-column forest whose leaf function is shifted by x_k - x_0.
 
 The roots grow and vote in consecutive blocks, so the working set is one
 block's waves, not the whole ensemble's. A block holds as many roots as

@@ -58,9 +58,9 @@ class BranchingSpec:
     positions. Both must be vectorized over the leading axis.
     ``decoration_fn(parents, offspring, rng)``, when set, returns an array
     with one row per branching event (leading axis n). A forest voted
-    through the model's combiner, the only reader of the rows, draws it
-    once per wave as it grows, so the combiner stays pure; other growth
-    draws none.
+    through the model's combiner, the only reader of the rows, draws them
+    once per growth call, for all of the call's branching events after
+    its last wave, so the combiner stays pure; other growth draws none.
     """
 
     dim: int
@@ -147,10 +147,11 @@ def grow_waves(
     """Grow n_roots independent genealogies from x0 to the horizon t.
 
     Per wave, in this order, the loop draws the lifetimes, the leaves'
-    motion to the horizon, the internal vertices' motion to their deaths,
-    the dispersal and, with ``decorate``, the decorations, and keeps the
-    leaf positions. ``genealogy`` also keeps birth, death and internal
-    positions at death.
+    motion to the horizon, the internal vertices' motion to their deaths
+    and the dispersal, and keeps the leaf positions. ``genealogy`` also
+    keeps birth, death and internal positions at death. With ``decorate``,
+    one ``spec.decoration_fn`` call after the last wave decorates all
+    branching events, whose rows are then split back onto their waves.
 
     Bad input and the up-front budget refusal are those of
     `check_growth`, made before anything is drawn. During growth the
@@ -166,6 +167,7 @@ def grow_waves(
     births = np.zeros(n_roots)
     total = 0
     total_leaves = 0
+    events = [] if decorate and spec.decoration_fn is not None else None  # (wave, at_death, offspring)
     while positions.shape[0]:
         n_w = positions.shape[0]
         total += n_w
@@ -189,8 +191,8 @@ def grow_waves(
             ilife = lifetimes.take(internal_rows)
             at_death = spec.motion(positions.take(internal_rows, axis=0), ilife, rng)
             offspring = spec.dispersal(at_death, rng)  # (m, n0, dim)
-            if decorate and spec.decoration_fn is not None:
-                wave.decorations = spec.decoration_fn(at_death, offspring, rng)
+            if events is not None:
+                events.append((wave, at_death, offspring))
             if genealogy:
                 wave.at_death = at_death
             positions = offspring.reshape(-1, spec.dim)
@@ -200,6 +202,11 @@ def grow_waves(
             positions = np.empty((0, spec.dim))
             births = np.empty(0)
         waves.append(wave)
+    if events:
+        decorated, parents, offspring = zip(*events)
+        rows = spec.decoration_fn(np.concatenate(parents), np.concatenate(offspring), rng)
+        for wave, part in zip(decorated, np.split(rows, np.cumsum([len(p) for p in parents[:-1]]))):
+            wave.decorations = part
     return waves, total, total_leaves
 
 

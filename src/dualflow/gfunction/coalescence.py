@@ -16,11 +16,10 @@ jumps at once (at most ``_MAX_LEAP``), because only the D-th of them can
 make a merge. The leap is exact: the partitions have the law of the
 one-jump-at-a-time walk, but the random draws differ from it.
 
-Infinite horizons are approximated by a finite cutoff that doubles from
-``INITIAL_CUTOFF`` until the no-coalescence weight moves by less than
-``STALL_TOL`` or the cutoff reaches ``MAX_CUTOFF`` (the weight is
-monotone in the horizon along fixed paths, so the doubling increments
-measure exactly the missed mass).
+An infinite horizon is one walk to ``MAX_CUTOFF`` for every caller, so
+`gbar`, the NLV forest's decorations and the Lotka-Volterra p3 share one
+horizon. Merges after it (a tail like T^(-1/2) in three dimensions) are
+not resolved, and such results carry a note that says so.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ __all__ = [
     "gbar",
 ]
 
-STALL_TOL = 1e-3
-INITIAL_CUTOFF = 8.0
 MAX_CUTOFF = 512.0
 # Most jumps one pass takes for one sample: it bounds each pass's per-jump
 # arrays to _MAX_LEAP entries per running sample. A leap shorter than D
@@ -261,12 +258,10 @@ def sample_coalescent_partitions(
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float, list[str]]:
-    """Final cluster labels (n_samples, m) and the cutoff actually used.
+    """Final cluster labels (n_samples, m), the cutoff walked and notes.
 
-    For a finite horizon, walks run exactly to the horizon. For an
-    infinite one, the cutoff doubles (continuing the same trajectories,
-    so the singleton weight is monotone) until its decrement is below
-    ``STALL_TOL`` or ``MAX_CUTOFF`` is reached.
+    A finite horizon is walked exactly, an infinite one to ``MAX_CUTOFF``
+    whatever ``n_samples`` is, with a note that the tail is not resolved.
     """
     for name, value in (("n_samples", n_samples), ("dim", dim)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
@@ -279,34 +274,12 @@ def sample_coalescent_partitions(
     m = pos.shape[1]
     rep = np.tile(np.arange(m), (n_samples, 1))
     _merge_initial_coincidences(pos, rep)
-    t = np.zeros(n_samples)
-    notes: list[str] = []
-
     if math.isfinite(horizon):
-        _run_coalescing(pos, rep, t, horizon, jump_rate, rng)
-        return rep, float(horizon), notes
-
-    cutoff = INITIAL_CUTOFF
-    _run_coalescing(pos, rep, t, cutoff, jump_rate, rng)
-    prev_single = _singleton_fraction(rep)
-    while cutoff < MAX_CUTOFF:
-        cutoff *= 2.0
-        _run_coalescing(pos, rep, t, cutoff, jump_rate, rng)
-        single = _singleton_fraction(rep)
-        if prev_single - single < STALL_TOL:
-            notes.append(
-                f"cutoff {cutoff:g}: no-coalescence weight moved "
-                f"{prev_single - single:.2e} (< {STALL_TOL:g}) on doubling"
-            )
-            return rep, cutoff, notes
-        prev_single = single
-    notes.append(f"cutoff capped at {MAX_CUTOFF:g}; tail not fully resolved")
+        cutoff, notes = float(horizon), []
+    else:
+        cutoff, notes = MAX_CUTOFF, [f"cutoff capped at {MAX_CUTOFF:g}; tail not fully resolved"]
+    _run_coalescing(pos, rep, np.zeros(n_samples), cutoff, jump_rate, rng)
     return rep, cutoff, notes
-
-
-def _singleton_fraction(rep: np.ndarray) -> float:
-    m = rep.shape[1]
-    return float(np.mean(np.all(rep == np.arange(m)[None, :], axis=1)))
 
 
 def mark_blocks(rep: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -363,7 +336,8 @@ def gbar(
 
     Offspring offsets are drawn from the box measure (origin plus four
     distinct sites of [-L, L]^dim), coalescing walks at jump rate dim
-    are run to the horizon, their blocks are marked by `mark_blocks` as
+    are run to the horizon (an infinite one to ``MAX_CUTOFF``, recorded
+    as ``effective_horizon``), their blocks are marked by `mark_blocks` as
     the NLV decoration marks them, and every copy map contributes its
     g^c weighted by its empirical frequency: the coefficients of g are
     the weighted sum of the g^c coefficients, and the multivariate form

@@ -226,13 +226,37 @@ class FixedPoints(list):
         self.degenerate = degenerate or []
 
 
+def _fixed_point_residual(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g(x) - x for the float coefficients of g by compensated Horner
+    (Graillat, Langlois & Louvet 2005), as accurate as Horner in twice the
+    working precision: the exact errors of each product (Dekker, Veltkamp's
+    split) and sum (Knuth) run a Horner of their own."""
+
+    def split(v):
+        c = 134217729.0 * v
+        return c - (c - v), v - (c - (c - v))
+
+    def two_sum(a, b):
+        s = a + b
+        return s, (a - (s - (s - a))) + (b - (s - a))
+
+    (xh, xl), s, err = split(x), np.full_like(x, coeffs[-1]), np.zeros_like(x)
+    for a in coeffs[-2::-1]:
+        (sh, sl), p = split(s), s * x
+        s, s_err = two_sum(p, a)
+        err = err * x + (((sh * xh - p) + sh * xl + sl * xh) + sl * xl + s_err)
+    s, s_err = two_sum(s, -x)
+    return s + (err + s_err)
+
+
 def find_fixed_points(g: GFunction, tol: float = 1e-12) -> FixedPoints:
     """Locate all solutions of g(p) = p in [0,1].
 
     The roots of the polynomial g(p) - p (``polyroots``: eigenvalues of
     its companion matrix) that are real, up to the splitting of a double
     root, and within ``tol`` of [0,1] are clipped to [0,1] and polished
-    by Newton steps on the exact polynomial; roots closer than
+    by Newton steps on a compensated residual, which put a simple root
+    within one float of the float polynomial's; roots closer than
     max(10 tol, 1e-11) are merged. When g(p) - p vanishes identically
     (the sum of its absolute coefficients, a bound on |g(p) - p| over
     [0,1], is at most 1e-13) the plateau (0, 1) is reported instead.
@@ -250,7 +274,7 @@ def find_fixed_points(g: GFunction, tol: float = 1e-12) -> FixedPoints:
     x = np.clip(real, 0.0, 1.0)
     for _ in range(_NEWTON_STEPS):
         slope = P.polyval(x, dh)
-        step = np.divide(P.polyval(x, h), slope, out=np.zeros_like(x), where=slope != 0.0)
+        step = np.divide(_fixed_point_residual(g.coeffs, x), slope, out=np.zeros_like(x), where=slope != 0.0)
         x = np.clip(x - step, 0.0, 1.0)
 
     merged: list[float] = []

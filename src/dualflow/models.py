@@ -17,13 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, ResourceError
 from .dualtree.tree import BranchingSpec
-from .gfunction.coalescence import (
-    _singleton_fraction,
-    gbar,
-    mark_blocks,
-    sample_box_offsets,
-    sample_coalescent_partitions,
-)
+from .gfunction.coalescence import gbar, mark_blocks, sample_box_offsets, sample_coalescent_partitions
 # find_fixed_points is no longer called here but stays importable as
 # dualflow.models.find_fixed_points, where the perfbench tracer wraps it
 from .gfunction.gfun import GFunction, find_fixed_points, kernel_g, verify_g_axioms  # noqa: F401
@@ -53,7 +47,7 @@ class ModelBundle:
     A bundle whose ``kernel`` is None votes only through ``combine``, the
     forest combiner ``combine(child_params, decorations)``: a pure
     function of the children's parameters and the per-event decorations
-    that ``spec.decoration_fn`` drew once during growth. No voting kernel
+    that ``spec.decoration_fn`` drew during growth. No voting kernel
     or g-function ever sees a decoration.
     """
 
@@ -284,10 +278,8 @@ def _lv_p3(L: int, dim: int, n_samples: int, seed: int) -> float:
     rng = derive_rng(seed, 0x1753)
     starts = np.zeros((n_samples, 3, dim), dtype=np.int64)
     starts[:, 1:, :] = rng.integers(-L, L + 1, size=(n_samples, 2, dim))
-    rep, _, _ = sample_coalescent_partitions(
-        starts, dim, math.inf, float(dim), n_samples, rng
-    )
-    return _singleton_fraction(rep)
+    rep, _, _ = sample_coalescent_partitions(starts, dim, math.inf, float(dim), n_samples, rng)
+    return float(np.mean(np.all(rep == np.arange(3), axis=1)))
 
 
 def lotka_volterra_dual(
@@ -368,12 +360,13 @@ def nonlinear_voter_dual(
 
     Offspring are the parent site plus four distinct uniform box sites.
     An event's decoration is its children's marked coalescence partition,
-    walked from their lattice displacements during growth and marked by
-    `mark_blocks`, as `gbar` marks its samples: the (5,) copy map c by
-    which child j copies child c[j]. The bundle has no voting kernel: the
-    pure ``combine`` applies each vertex's g^c. The bundle's g is the
-    effective (coalescence-weighted) g at this L and horizon, with
-    equilibria located on it.
+    walked from their lattice displacements and marked by `mark_blocks`,
+    as `gbar` marks its samples: the (5,) copy map c by which child j
+    copies child c[j], all of a growth call's events in one walk. The
+    bundle has no voting kernel: the pure ``combine`` applies each
+    vertex's g^c. The bundle's g is the effective (coalescence-weighted)
+    g at this L and horizon, to which the forest walks too (``MAX_CUTOFF``
+    if infinite, as ``scaling_notes`` states), with equilibria on it.
     """
     if L < 1:
         raise ArgumentError("box half-width L must be >= 1")
@@ -434,7 +427,8 @@ def nonlinear_voter_dual(
         (float(a_eps), 0.5, float(b_eps)),
         scaling_notes=(
             f"mesh {mesh:.3g}, 5-ary branch rate eps^-2, effective g from {gbar_samples} "
-            f"coalescence samples at L={L}, horizon={coalescence_horizon}"
+            f"coalescence samples at L={L}, walked to horizon {geff.metadata['effective_horizon']:g}"
+            + "".join(f" ({note})" for note in geff.metadata["notes"])
         ),
         flags=flags,
         combine=combine,

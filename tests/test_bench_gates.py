@@ -13,7 +13,8 @@ runs; installing and restoring its tracer here shows that every
 attribute it patches still resolves. The same tracer counts the forests
 the ``ternary_interface`` smoke run grows, so a return to one forest per
 point fails here, and the walks the ``nlv_coalescence`` smoke run makes,
-so a combiner that walks again fails here too.
+so a combiner that walks again, or a forest that walks once per wave,
+fails here too.
 """
 
 import importlib.util
@@ -26,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
     "ternary_interface": "c2303e217e6d6089",
-    "nlv_coalescence": "0cc679f606744c83",
+    "nlv_coalescence": "70da0ca238d36fb8",
     "curvature_pde": "d9f3b7a3adbdda35",
 }
 
@@ -72,7 +73,8 @@ def test_span_tracer_patches_resolve_and_restore():
 
 
 def _traced_smoke(workloads, name):
-    """Run a workload's smoke size under the span tracer; returns a span counter."""
+    """Run a workload's smoke size under the span tracer; returns a span
+    counter, which sums a span attribute instead when one is named."""
     spans = _load("spans")
     tracer = spans.Tracer()
     cls = workloads.WORKLOADS[name]
@@ -83,7 +85,9 @@ def _traced_smoke(workloads, name):
     finally:
         tracer.restore()
     assert outcome.digest == PINNED_DIGESTS[name]
-    return lambda span_name: sum(span.name == span_name for span in tracer.spans)
+    return lambda span_name, attr=None: sum(
+        span.attrs[attr] if attr else 1 for span in tracer.spans if span.name == span_name
+    )
 
 
 def test_ternary_interface_grows_one_forest_per_group(workloads):
@@ -92,8 +96,12 @@ def test_ternary_interface_grows_one_forest_per_group(workloads):
     assert count("dualtree.forest") == 7
 
 
-def test_nlv_walks_once_per_gbar_and_decorated_wave(workloads):
+def test_nlv_walks_once_per_gbar_and_forest_block(workloads):
     count = _traced_smoke(workloads, "nlv_coalescence")
-    # the partitions are drawn while the forest grows; the combiner walks none
+    # the partitions are drawn while the forest grows, in one walk per
+    # forest (each smoke forest is one root block); the combiner walks none
     assert count("models.decoration") > 0 and count("models.nlv_combine") > 0
+    assert count("models.decoration") == count("dualtree.forest")
     assert count("gfunction.coalescence") == count("gfunction.gbar") + count("models.decoration")
+    # every walk is infinite-horizon, so every one runs to the cap
+    assert count("gfunction.coalescence", "capped") == count("gfunction.coalescence")

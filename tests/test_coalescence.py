@@ -9,7 +9,9 @@ import pytest
 
 from dualflow.errors import ArgumentError
 from dualflow.gfunction import gbar
+import dualflow.gfunction.coalescence as coalescence
 from dualflow.gfunction.coalescence import (
+    MAX_CUTOFF,
     _MAX_LEAP,
     _merge_initial_coincidences,
     _run_coalescing,
@@ -229,22 +231,23 @@ class TestBadWalkInputs:
 
 
 # SHA-256 of the labels (little-endian int64) and of repr((cutoff, notes))
-# for each case below, recorded with the leaping pass; any change to the
+# for each case below, recorded with the leaping pass (the infinite-horizon
+# cases again when they became one walk to MAX_CUTOFF); any change to the
 # walk's draws or results shows here.
 PINNED_WALKS = {
     "d1_m2_T4": "8dc6423475f6c8e423fe2ade1b20e637ad01949f4430bb300288423f3e337b12",
-    "d1_m3_inf": "87c8d7feb1887982a4ad1f55c9d81a2eda2deed9acaf67d57ff6569eb3b99ba1",
+    "d1_m3_inf": "af684c2fe67f19210cb59e8a072d09f6394840e337e7c80032677cbbd4dfc3ef",
     "d2_m3_T0.5": "8b7c50d43b0540af3030b109e3b43ebc2332db68d7bb5f19344e5c422e36f2f9",
-    "d2_m5_inf": "6ae3f04bd6d2b0d9de70a8d08193ea38ea33b1e586c83b94f9df8393314f50ac",
-    "d3_m2_inf": "8d4eaa1c7d9b3becc82a3bec2d9f8117dcbfc2a08d89eaeefe40caca28960884",
+    "d2_m5_inf": "860390481380c6a503ed0cccd0f88d660e557736af1fb310d96600c186f1dd5d",
+    "d3_m2_inf": "222ea49d63626bf9d9373165690251df56cd88d9c5d36bd2d59be68ac27d2523",
     "d3_m3_T4_slow": "8b7968a689a67d9dc448aa11a54107a3561d981fde65afaab7d7649da729c6a1",
     "d3_m5_T4": "0d58bcc152b1fab54b2eee28beeb91d3c3425121644e11daa11b74930880246f",
-    "d3_m5_inf": "e89eca6a049cdd8166a4ca011f096ba9bde5de7d48f913467cc54a326484e021",
-    "d3_m3_coincident_inf": "84bfd0326c4bc34814adb4258283491d2ea5b751a20edc450b7e08fa1ad3f2ce",
-    "d3_m5_box_inf": "1414f7349b6c63f63df49dd529fd0d900f3b5a4be02e53be5dabc447e5d3aa95",
+    "d3_m5_inf": "f217bc9f1a5d53774f56cd21f7d79a343d26e35b2c88276368e6571b8c154b85",
+    "d3_m3_coincident_inf": "dd410b7c8a25444f4608cb72905256579c1575e5dd7157914082409f2cd782d8",
+    "d3_m5_box_inf": "d08888c837b885fd0d0c4000a800d1e57febf6dae196a48d41af875caf9d2ef2",
     "d3_m5_box_T2": "688515672108cda827690c6952e4477c04bd7a87ee89ca56b686aeb420995abc",
-    "d3_m5_box_n1_inf": "8407e4bc32d76bccc14a9d4f19fda083d80a075a4bd4a23a884faecade51570c",
-    "d3_m5_box_n3_inf": "97bf0b19d869b0886a8f845d76d254f8a92a4482e176d3c955a5ba42793fc3d3",
+    "d3_m5_box_n1_inf": "b6e4950d357da98a5cb497e9e8838253829c3482a9de2006811e62c987fd0c8c",
+    "d3_m5_box_n3_inf": "c07ba410be52696eee97bd1046c706f529fc38366f8ed8725ce837bdb0efbf00",
 }
 
 # name: (start, dim, horizon, jump_rate, n_samples); "box" draws per-sample
@@ -466,17 +469,26 @@ def test_far_walkers_leap_in_bounded_steps():
 
 
 def test_box_walk_pass_count_guard():
-    """750 L = 2 box starts taken through gbar's doubling to the 512 cap
-    need fewer than 2,000 passes (the one-jump-per-pass walk took 8,228)."""
+    """750 L = 2 box starts taken, as gbar takes them, straight to the
+    512 cutoff need fewer than 2,000 passes (a one-jump-per-pass walk
+    took 8,228)."""
     n = 750
     rng = np.random.default_rng(2024)
     pos = sample_box_offsets(2, 3, n, rng)
     rep = np.tile(np.arange(5), (n, 1))
     _merge_initial_coincidences(pos, rep)
-    t = np.zeros(n)
-    passes = 0
-    cutoff = 8.0
-    while cutoff <= 512.0:
-        passes += _run_coalescing(pos, rep, t, cutoff, 3.0, rng)[0]
-        cutoff *= 2
+    passes, _ = _run_coalescing(pos, rep, np.zeros(n), MAX_CUTOFF, 3.0, rng)
     assert passes < 2000
+
+
+@pytest.mark.parametrize("n", [1, 3, 150])
+def test_infinite_horizon_is_one_walk_to_the_cutoff(monkeypatch, n):
+    """Whatever the sample count, an infinite horizon is one walk to
+    MAX_CUTOFF = 512 with a note that it capped the walk: a batch of one
+    or three walks as far as gbar's batch of thousands."""
+    walk, calls = coalescence._run_coalescing, []
+    monkeypatch.setattr(coalescence, "_run_coalescing", lambda *a: calls.append(a[3]) or walk(*a))
+    starts = sample_box_offsets(2, 3, n, np.random.default_rng(n))
+    rep, cutoff, notes = sample_coalescent_partitions(starts, 3, math.inf, 3.0, n, np.random.default_rng(n))
+    assert cutoff == MAX_CUTOFF == 512.0 and calls == [512.0]
+    assert len(notes) == 1 and "capped" in notes[0] and rep.shape == (n, 5)

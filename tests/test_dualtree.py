@@ -535,15 +535,15 @@ def _forest_cases():
 
 # SHA-256 of root_params (little-endian f64), total_vertices, total_leaves and
 # max_depth, recorded while leaves were still valued in the backward pass; the
-# nonlinear voter's since its partitions are drawn during growth
+# nonlinear voter's since its partitions are drawn in one walk per growth call
 PINNED_FORESTS = {
     "bbm1d_step": (
         "28c92e70632933ed114a14204344386750dd5287cff4098a594ca6801de8a3ef",
         56503, 37802, 17,
     ),
     "nonlinear_voter_dual_combine": (
-        "707d2e9e359fcff6e464ea0ac0a51c8766622e9018618afacddab1d60cdc427c",
-        2920, 2348, 11,
+        "0cd2f5aacf632f9dc734d8ff68ec838c5a710c93266920c2bbf5f91911f8f204",
+        2365, 1904, 9,
     ),
     "sexual_reproduction_lattice_walk": (
         "4355bd84aba459874a3305202b74febf367fa47b2ca40919dc7b459bdadcfb8c",
@@ -641,17 +641,32 @@ class TestForestColumns:
         assert np.any(res.root_params[:, 0] < res.root_params[:, 1])
 
     def test_nlv_walk_count_does_not_depend_on_columns(self, monkeypatch):
-        # the partitions are drawn once, during growth, whatever K is
+        # the partitions are drawn during growth, in one walk per growth
+        # call (one per root block), whatever K is, and to the horizon the
+        # bundle's g was walked to
         bundle = nonlinear_voter_dual(0.5, 2, dim=3, gbar_samples=200, **NLV_RATES)
-        walk, calls = dualflow.models.sample_coalescent_partitions, []
-        monkeypatch.setattr(dualflow.models, "sample_coalescent_partitions", lambda *a: calls.append(1) or walk(*a))
+        walk, cutoffs = dualflow.models.sample_coalescent_partitions, []
+
+        def spy(*args):
+            out = walk(*args)
+            cutoffs.append(out[1])
+            return out
+
+        monkeypatch.setattr(dualflow.models, "sample_coalescent_partitions", spy)
+        grow, grown = dualflow.dualtree.forest.grow_waves, []
+        monkeypatch.setattr(dualflow.dualtree.forest, "grow_waves", lambda *a, **kw: grown.append(1) or grow(*a, **kw))
         leaf = lambda P: np.clip(0.5 + 20.0 * P[:, 0], 0.0, 1.0)
         counts = []
-        for k in (1, 2, 8):
-            calls.clear()
-            forest_root_params(bundle.spec, np.zeros((k, 3)), 0.2, [leaf] * k, None, 30, derive_rng(4, 1), combine=bundle.combine)
-            counts.append(len(calls))
-        assert counts[0] > 0 and counts == [counts[0]] * 3
+        for block_vertices in (dualflow.dualtree.forest._BLOCK_VERTICES, 400):  # 1 block, then 3
+            monkeypatch.setattr(dualflow.dualtree.forest, "_BLOCK_VERTICES", block_vertices)
+            for k in (1, 2, 8):
+                cutoffs.clear()
+                grown.clear()
+                forest_root_params(bundle.spec, np.zeros((k, 3)), 0.2, [leaf] * k, None, 30, derive_rng(4, 1), combine=bundle.combine)
+                counts.append((len(cutoffs), len(grown)))
+                assert cutoffs == [bundle.g.metadata["effective_horizon"]] * len(cutoffs)
+        assert counts == [(1, 1)] * 3 + [(3, 3)] * 3
+        assert bundle.g.metadata["effective_horizon"] == 512.0
 
     @pytest.mark.parametrize(
         "x, t, n",

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,36 @@ def _round_trip_gs():
         "nlv_unbalanced": lambda: nlv_polynomial_g(0.1, 0.3, 0.6, 0.85),
         "gbar": lambda: gbar(2, 3, math.inf, n_samples=200, rng_seed=11, **NLV_RATES),
     }
+
+
+def _polished_gs():
+    return _round_trip_gs() | {
+        # the effective g of the L = 3 NLV bundle that the model tests pin
+        "gbar_L3": lambda: gbar(3, 3, math.inf, n_samples=1500, rng_seed=0xBA26, **NLV_RATES),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_polished_gs()))
+def test_polished_roots_bracket_the_float_polynomial_root(name):
+    # oracle: g(p) - p of the float coefficients, summed exactly in
+    # rationals. A simple root polished to within one float of it changes
+    # sign between its float neighbours. At 0 and 1 the clip to [0, 1] may
+    # hold a root that the float coefficients put just outside, so there
+    # the sign must change within tol = 1e-12 of the endpoint.
+    g = _polished_gs()[name]()
+    coeffs = [Fraction(c) for c in g.coeffs.tolist()]
+
+    def h(x):
+        x = Fraction(x)
+        return sum(c * x**k for k, c in enumerate(coeffs)) - x
+
+    roots = find_fixed_points(g)
+    assert len(roots) >= 2
+    for r in roots:
+        lo, hi = math.nextafter(r, -math.inf), math.nextafter(r, math.inf)
+        if r in (0.0, 1.0) and h(lo) * h(hi) > 0:
+            lo, hi = r - 1e-12, r + 1e-12
+        assert h(lo) * h(hi) <= 0, (name, r)
 
 
 class TestJsonRoundTrip:
