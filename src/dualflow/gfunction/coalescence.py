@@ -9,12 +9,16 @@ as a copy map), is the object of interest: its distribution weights the
 per-copy-map g-functions into the effective g of the nonlinear voter
 model.
 
-The walk is simulated pass by pass on compact arrays that hold only the
-samples still running, and each pass leaps: a sample whose active
-walkers are at L1 distance at least D from one another takes its next D
-jumps at once (at most ``_MAX_LEAP``), because only the D-th of them can
-make a merge. The leap is exact: the partitions have the law of the
-one-jump-at-a-time walk, but the random draws differ from it.
+The walk is uniformized: every walker keeps its jump clock after it
+merges and a merged walker's picks move nothing, so a sample's picks up
+to the horizon are one Poisson count, drawn once, each uniform over its
+m walkers and 2d directions. It is simulated pass by pass on compact
+arrays that hold only the samples still running, and each pass leaps: a
+sample whose active walkers are at L1 distance at least D from one
+another takes its next D picks at once (at most ``_MAX_LEAP``), because
+only the D-th of them can make a merge. Both are exact: the partitions
+have the law of the one-jump-at-a-time walk, but the random draws differ
+from it.
 
 An infinite horizon is one walk to ``MAX_CUTOFF`` for every caller, so
 `gbar`, the NLV forest's decorations and the Lotka-Volterra p3 share one
@@ -42,10 +46,10 @@ __all__ = [
 ]
 
 MAX_CUTOFF = 512.0
-# Most jumps one pass takes for one sample: it bounds each pass's per-jump
+# Most picks one pass takes for one sample: it bounds each pass's per-pick
 # arrays to _MAX_LEAP entries per running sample. A leap shorter than D
-# keeps the law, and few are cut: 29 of 296,000 sample-passes in a
-# 750-sample gbar(L=2, dim=3) to the 512 cap.
+# keeps the law, and few are cut: 49 and 0 of ~360,000 sample-passes in
+# two 750-sample L = 2 box walks (dim 3) to the 512 cap.
 _MAX_LEAP = 128
 # Share of finished rows at which a pass compacts its running arrays.
 _COMPACT_SHARE = 0.25
@@ -68,9 +72,6 @@ def _as_starts(start: Sequence, dim: int, n_samples: int) -> np.ndarray:
     bound = 2**61 // dim
     if not ((arr >= -bound) & (arr <= bound)).all():
         raise ArgumentError(f"start offsets must be at most 2**61 // dim = {bound} in size")
-    # the jump draws range over lcm(1..m) * 2 * dim in int64
-    if math.lcm(*range(1, arr.shape[-2] + 1)) * 2 * dim >= 2**63:
-        raise ArgumentError(f"too many walkers ({arr.shape[-2]}) for exact jump draws")
     arr = arr.astype(np.int64)
     if arr.ndim == 2:
         return np.broadcast_to(arr, (n_samples,) + arr.shape).copy()
@@ -111,14 +112,6 @@ def _pair_gaps(P: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, dead: np.n
     return gap
 
 
-def _jump_codes(A: np.ndarray, n_dir: int) -> np.ndarray:
-    """(nr, m * n_dir) table: entry u * n_dir + e of a sample is
-    w * n_dir + e, for its u-th active walker w (ascending index) and
-    direction e; entries past K * n_dir are never read."""
-    order = np.argsort(~A, axis=0, kind="stable")
-    return (order.T[:, :, None] * n_dir + np.arange(n_dir)).reshape(A.shape[1], A.shape[0] * n_dir)
-
-
 def _run_coalescing(
     pos: np.ndarray,
     rep: np.ndarray,
@@ -127,95 +120,76 @@ def _run_coalescing(
     jump_rate: float,
     rng: np.random.Generator,
 ) -> tuple[int, int]:
-    """Advance all samples to time t_end in place; return (passes, jumps).
+    """Advance all samples to time t_end in place; return (passes, picks).
 
-    Event-driven and batched, with leaps. Active walkers never share a
-    site, a merge needs a pair at distance 0, and a jump moves a pair's
-    L1 distance by at most 1. So if a sample's active walkers are at
-    least D apart, its next D - 1 jumps cannot merge, and each pass
-    takes J = min(D, _MAX_LEAP) jumps at once. The active set cannot
-    change before the J-th of them, so the J jumps are i.i.d. uniform
-    (active walker, direction) pairs, and the J-th comes S ~ Gamma(J) /
-    (K * jump_rate) after the sample's clock T. When T + S is not
-    before t_end, the earlier J - 1 jump times are uniform on [T, T + S],
-    so Binomial(J - 1, (t_end - T) / S) of them happen by t_end and the
-    clock stops there; the clock is memoryless, so a later call to a
-    longer horizon continues exactly. Only a J = D-th jump can land on
-    another active walker's site, and then that pair is the only one at
-    distance 0 in the distances the next pass needs anyway, so merges
-    need no separate hit test. ``rep`` is kept canonical (every entry
-    points at its cluster's minimal index), so merges are single
-    relabelings.
+    Uniformized and batched, with leaps. Every one of a sample's m
+    walkers keeps its rate-``jump_rate`` clock after it merges, and a
+    merged walker's picks move nothing. By superposition, a sample's
+    picks up to t_end are one Poisson(m * jump_rate * (t_end - t)) count,
+    drawn once, each uniform over m walkers x 2 * dim directions, which
+    is the law of the walk itself. ``picks`` counts them all, a merged
+    walker's no-op picks included.
+
+    Active walkers never share a site, a merge needs a pair at distance
+    0, and a pick moves a pair's L1 distance by at most 1. So if a
+    sample's active walkers are at least D apart, its next D - 1 picks
+    cannot merge, and each pass takes J = min(D, picks left, _MAX_LEAP)
+    picks at once. Only a J = D-th pick can land on another active
+    walker's site, and then that pair is the only one at distance 0 in
+    the distances the next pass needs anyway, so merges need no separate
+    hit test. ``rep`` is kept canonical (every entry points at its
+    cluster's minimal index), so merges are single relabelings. Every
+    clock ends at t_end; the picks are memoryless, so a later call to a
+    longer horizon continues exactly.
 
     Only the running samples are touched, through compact copies kept in
     their original row order and stored walker-major, so each numpy
     inner loop runs over samples rather than over the m walkers:
-    positions ``P`` (dim, m, nr), labels ``R`` and active masks ``A``
-    (m, nr), inactive-pair masks ``dead`` (pairs, nr), clocks ``T``,
-    minimum distances ``D``, active counts ``K`` and total rates
-    ``K * jump_rate`` (nr,), and the jump codes ``code`` of
-    ``_jump_codes``. A sample is finished when its clock reaches t_end or
-    its walkers have fully merged. A finished sample is frozen in place
-    with J = 0: Gamma(0) draws nothing, and frozen samples are left out of
-    the binomial draw and take no jump, so the draws are those of the
-    running samples alone. Only when ``_COMPACT_SHARE`` of the rows are
-    finished are they written back to ``pos``/``rep``/``t`` and the
-    compact arrays rebuilt.
-
-    A jump's walker and direction come from one draw on
-    [0, lcm(1..m) * 2 * dim) reduced mod K * 2 * dim, which is exactly
-    uniform because K * 2 * dim divides the range. The net moves of a
-    pass are counted per (sample, walker, axis, sign) in one bincount.
+    positions ``P`` (dim, m, nr), labels ``R`` (m, nr), inactive-pair
+    masks ``dead`` (pairs, nr), picks left ``left`` and minimum distances
+    ``D`` (nr,). A sample is finished when it has no picks left or its
+    walkers have fully merged (then its picks left are dropped), so it
+    draws nothing. Only when ``_COMPACT_SHARE`` of the rows are finished
+    are they written back to ``pos``/``rep`` and the compact arrays
+    rebuilt. The net moves of a pass are counted per (sample, walker,
+    axis, sign) in one bincount and multiplied, sample-major, by the
+    moving masks ``W`` (nr, m, dim), 1 for an active walker's axes and
+    0 for a merged walker's, before they are transposed onto ``P``.
     """
     n, m, dim = pos.shape
-    n_dir = 2 * dim
-    draw_high = math.lcm(*range(1, m + 1)) * n_dir
+    n_pick = 2 * dim * m
     pair_i, pair_j = np.triu_indices(m, 1)
     labels = np.arange(m)[:, None]
     k = (rep == labels.T).sum(axis=1)
-    running = (t < t_end) & (k > 1)
-    t[~running] = np.maximum(t[~running], t_end)
-    rows = np.flatnonzero(running)
+    rows = np.flatnonzero((t < t_end) & (k > 1))
+    left = rng.poisson(m * jump_rate * (t_end - t[rows]))
+    np.maximum(t, t_end, out=t)
     P = np.ascontiguousarray(pos[rows].transpose(2, 1, 0))
     R = np.ascontiguousarray(rep[rows].T)
     A = R == labels
     dead = ~(A[pair_i] & A[pair_j])
-    T, K = t[rows], k[rows]
-    rate = K * jump_rate
-    code = _jump_codes(A, n_dir)
+    W = np.repeat(A.T, dim, axis=1).reshape(rows.size, m, dim).astype(np.int64)
     D = _pair_gaps(P, pair_i, pair_j, dead).min(axis=0, initial=_MAX_LEAP)
-    passes = jumps = 0
-    live = None  # the unfrozen rows, once some are frozen
+    passes = picks = 0
     while rows.size:
         nr = rows.size
         passes += 1
-        J = np.minimum(D, _MAX_LEAP)
-        if live is not None:
-            J *= live
-        S = rng.standard_gamma(J) / rate  # Gamma(0) is 0 and draws nothing
-        arrival = T + S
-        fire = arrival < t_end
-        late = ~fire if live is None else ~fire & live
-        all_fire = not late.any()
-        if all_fire:
-            T = arrival
-            n_jumps = J
-        else:
-            n_jumps = J.copy()
-            share = np.minimum((t_end - T[late]) / S[late], 1.0)
-            n_jumps[late] = rng.binomial(J[late] - 1, share)
-            T = np.where(fire, arrival, t_end)
-        total = int(n_jumps.sum())
-        jumps += total
-        base = np.repeat(np.arange(0, nr * m * n_dir, m * n_dir), n_jumps)
-        draw = rng.integers(0, draw_high, size=total) % np.repeat(K * n_dir, n_jumps)
+        J = np.minimum(D, left)
+        left -= J
+        total = int(J.sum())
+        picks += total
+        slot = np.repeat(np.arange(0, nr * n_pick, n_pick), J)
+        slot += rng.integers(0, n_pick, size=total)
         # one count per (sample, walker, axis, sign); even directions step +1
-        moves = np.bincount(base + code.reshape(-1)[base + draw], minlength=nr * m * n_dir)
+        moves = np.bincount(slot, minlength=nr * n_pick)
         moves = moves.reshape(nr, m, dim, 2)
-        P += (moves[..., 0] - moves[..., 1]).T
+        step = moves[..., 0] - moves[..., 1]
+        step *= W
+        P += step.T
 
-        # a D-th jump that happened may have landed on another active
-        # walker's site: that pair, and only that one, is now at distance 0
+        # a D-th pick that moved a walker may have landed on another
+        # active walker's site: that pair, and only that one, is now at
+        # distance 0
         gap = _pair_gaps(P, pair_i, pair_j, dead)
         D = gap.min(axis=0, initial=_MAX_LEAP)
         rr = np.flatnonzero(D == 0)
@@ -224,30 +198,20 @@ def _run_coalescing(
             sub = R[:, rr]
             np.putmask(sub, sub == pair_j[pair], np.broadcast_to(pair_i[pair], sub.shape))
             R[:, rr] = sub
-            A[:, rr] = sub == labels
-            dead[:, rr] = ~(A[pair_i][:, rr] & A[pair_j][:, rr])
-            K[rr] = A[:, rr].sum(axis=0)
-            rate[rr] = K[rr] * jump_rate
-            code[rr] = _jump_codes(A[:, rr], n_dir)
+            act = sub == labels
+            dead[:, rr] = ~(act[pair_i] & act[pair_j])
+            W[rr] = act.T[:, :, None]
             D[rr] = np.where(dead[:, rr], _MAX_LEAP, gap[:, rr]).min(axis=0)
-        elif all_fire:
+            left[rr[act.sum(axis=0) == 1]] = 0
+        done = left == 0
+        if np.count_nonzero(done) < nr * _COMPACT_SHARE:
             continue
-        keep = (T < t_end) & (K > 1)
-        done = ~keep
-        n_done = np.count_nonzero(done)
-        if n_done == 0:
-            continue
-        if n_done < nr * _COMPACT_SHARE:
-            live = keep
-            continue
-        live = None
+        keep = ~done
         pos[rows[done]] = np.compress(done, P, axis=2).transpose(2, 1, 0)
         rep[rows[done]] = np.compress(done, R, axis=1).T
-        t[rows[done]] = np.maximum(T[done], t_end)
-        rows, T, K, rate, D = rows[keep], T[keep], K[keep], rate[keep], D[keep]
-        P, R, A, dead = (np.compress(keep, x, axis=-1) for x in (P, R, A, dead))
-        code = code[keep]
-    return passes, jumps
+        rows, left, D, W = rows[keep], left[keep], D[keep], W[keep]
+        P, R, dead = (np.compress(keep, x, axis=-1) for x in (P, R, dead))
+    return passes, picks
 
 
 def sample_coalescent_partitions(

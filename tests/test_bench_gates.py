@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PINNED_DIGESTS = {
     "ternary_interface": "c2303e217e6d6089",
-    "nlv_coalescence": "70da0ca238d36fb8",
+    "nlv_coalescence": "84ca6b336ac90496",
     "curvature_pde": "d9f3b7a3adbdda35",
 }
 

@@ -194,17 +194,25 @@ class TestBadWalkInputs:
             ([[0, 0, 0], [1, 0, 0]], 3, 2.5),
             ([[0, 0, 0], [1, 0, 0]], 3, 10.0),
             ([[0, 0, 0], [1, 0, 0]], 3, True),
-            ([[i] for i in range(43)], 1, 10),
             ([[], []], 0, 10),
         ],
         ids=[
             "fractional", "fractional_per_sample", "nan", "inf", "strings",
-            "l1_overflow", "int64_min", "n_fractional", "n_float", "n_bool", "43_walkers", "dim_zero",
+            "l1_overflow", "int64_min", "n_fractional", "n_float", "n_bool", "dim_zero",
         ],
     )
     def test_bad_start_or_count_rejected(self, start, dim, n_samples):
         with pytest.raises(ArgumentError):
             sample_coalescent_partitions(start, dim, 1.0, 3.0, n_samples, np.random.default_rng(0))
+
+    def test_43_walkers_accepted(self):
+        # picks range over m * 2 * dim, so the walker count has no bound
+        rep, cutoff, _ = sample_coalescent_partitions(
+            [[i] for i in range(43)], 1, 1.0, 3.0, 10, np.random.default_rng(0)
+        )
+        assert rep.shape == (10, 43) and cutoff == 1.0
+        assert (rep <= np.arange(43)).all()
+        assert np.array_equal(np.take_along_axis(rep, rep, axis=1), rep)
 
     def test_integral_float_offsets_accepted(self):
         runs = [
@@ -231,23 +239,22 @@ class TestBadWalkInputs:
 
 
 # SHA-256 of the labels (little-endian int64) and of repr((cutoff, notes))
-# for each case below, recorded with the leaping pass (the infinite-horizon
-# cases again when they became one walk to MAX_CUTOFF); any change to the
-# walk's draws or results shows here.
+# for each case below, recorded with the uniformized leaping pass; any
+# change to the walk's draws or results shows here.
 PINNED_WALKS = {
-    "d1_m2_T4": "8dc6423475f6c8e423fe2ade1b20e637ad01949f4430bb300288423f3e337b12",
-    "d1_m3_inf": "af684c2fe67f19210cb59e8a072d09f6394840e337e7c80032677cbbd4dfc3ef",
-    "d2_m3_T0.5": "8b7c50d43b0540af3030b109e3b43ebc2332db68d7bb5f19344e5c422e36f2f9",
-    "d2_m5_inf": "860390481380c6a503ed0cccd0f88d660e557736af1fb310d96600c186f1dd5d",
-    "d3_m2_inf": "222ea49d63626bf9d9373165690251df56cd88d9c5d36bd2d59be68ac27d2523",
-    "d3_m3_T4_slow": "8b7968a689a67d9dc448aa11a54107a3561d981fde65afaab7d7649da729c6a1",
-    "d3_m5_T4": "0d58bcc152b1fab54b2eee28beeb91d3c3425121644e11daa11b74930880246f",
-    "d3_m5_inf": "f217bc9f1a5d53774f56cd21f7d79a343d26e35b2c88276368e6571b8c154b85",
-    "d3_m3_coincident_inf": "dd410b7c8a25444f4608cb72905256579c1575e5dd7157914082409f2cd782d8",
-    "d3_m5_box_inf": "d08888c837b885fd0d0c4000a800d1e57febf6dae196a48d41af875caf9d2ef2",
-    "d3_m5_box_T2": "688515672108cda827690c6952e4477c04bd7a87ee89ca56b686aeb420995abc",
+    "d1_m2_T4": "df22788c2dbfd4647185495dd51053585776cd75629e1cb6e6742675a3e3d8ad",
+    "d1_m3_inf": "0a784709ec667e3aabf9d8f1041842d463fca5fd89ce9f18dde531120db0a300",
+    "d2_m3_T0.5": "81f08f8fe4d008aede743196f3979964f2e9daeff38b3e788e50af6f314d03ba",
+    "d2_m5_inf": "fe12b8114c512510ea69ecece440592903b056cf0163b0b39fb0a986ae5059ca",
+    "d3_m2_inf": "2615abacc953824430548bbd06daf9737b7e312994e73e430204d17c398e69f9",
+    "d3_m3_T4_slow": "5e9a65306e7b5167fccbe47a1d99d16c2089391cf78cd0bcd33edfc103d43cc4",
+    "d3_m5_T4": "ad14f7f5e144807a2e15bfeda040bed87750f1b42c200a54c531a3d147992763",
+    "d3_m5_inf": "153ef4bd315aa65afc6a3bf7c7335beda1abc8177f8413914acfbec2a3671b20",
+    "d3_m3_coincident_inf": "1374963d047c1b8afa23ac3eccf084362bdb5299d574ad6f7aa33aa4307ecfed",
+    "d3_m5_box_inf": "176a971e312ea2e1ac8c9f8821ce83836595cbecb05af2838cb6e1ab555f5de5",
+    "d3_m5_box_T2": "dd8b024896bde63b5e01fc8167422bc9ac3a4e8a911623c03b1ec78e86369c12",
     "d3_m5_box_n1_inf": "b6e4950d357da98a5cb497e9e8838253829c3482a9de2006811e62c987fd0c8c",
-    "d3_m5_box_n3_inf": "c07ba410be52696eee97bd1046c706f529fc38366f8ed8725ce837bdb0efbf00",
+    "d3_m5_box_n3_inf": "0ae595d83ec14adde2807c1e80c70d3d40e8e66e39e191a8dc6eda4ddd4e2dcc",
 }
 
 # name: (start, dim, horizon, jump_rate, n_samples); "box" draws per-sample
@@ -466,6 +473,19 @@ def test_far_walkers_leap_in_bounded_steps():
     assert jumps <= passes * _MAX_LEAP * n
     assert jumps == pytest.approx(2 * 3.0 * 2000.0 * n, rel=0.01)
     assert peak < 32 * 2**20
+
+
+def test_merged_walker_never_moves():
+    """Walker 1 starts on walker 0's site, so it is merged at t = 0: its
+    picks are no-ops however long the others walk."""
+    n = 300
+    start = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    pos = np.broadcast_to(start, (n, 3, 3)).copy()
+    rep = np.tile(np.arange(3), (n, 1))
+    _merge_initial_coincidences(pos, rep)
+    _run_coalescing(pos, rep, np.zeros(n), MAX_CUTOFF, 3.0, np.random.default_rng(7))
+    assert (rep[:, 1] == 0).all()
+    assert (pos[:, 1] == start[1]).all()
 
 
 def test_box_walk_pass_count_guard():

@@ -542,7 +542,7 @@ PINNED_FORESTS = {
         56503, 37802, 17,
     ),
     "nonlinear_voter_dual_combine": (
-        "0cd2f5aacf632f9dc734d8ff68ec838c5a710c93266920c2bbf5f91911f8f204",
+        "636a2b5908af8fd57fa9ed8b4a966fc13eb5c2df470e2b668c930389ab74fe38",
         2365, 1904, 9,
     ),
     "sexual_reproduction_lattice_walk": (

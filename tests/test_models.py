@@ -39,13 +39,14 @@ def bundles():
 
 # (delta_star, a, b) of each fixture bundle's axiom report, recorded with
 # the earlier grid-bisection and finite-difference scan (the nlv row again
-# when the coalescing walks began to leap, and when an infinite horizon
-# became one walk to MAX_CUTOFF); every axiom passed
+# when the coalescing walks began to leap, when an infinite horizon became
+# one walk to MAX_CUTOFF, and when the walks were uniformized); every axiom
+# passed
 SCAN_REFERENCE = {
     "bbm": (0.091, 0.0, 1.0),
     "slfv": (0.091, 0.0, 1.0),
     "lv": (0.091, 0.0, 1.0),
-    "nlv": (0.063, 0.24225608662351414, 0.7577439133764471),
+    "nlv": (0.058, 0.25369395730785, 0.7463060426920739),
     "sr": (0.061, 0.0, 0.6666666666665151),
 }
 
@@ -195,12 +196,12 @@ class TestNonlinearVoter:
         # equilibria recorded with the values: the bundle's own are roots of
         # its float effective g, which could round differently elsewhere
         b = bundles["nlv"]
-        a_pinned, b_pinned = 0.24225608662351414, 0.7577439133764471
+        a_pinned, b_pinned = 0.25369395730785, 0.7463060426920739
         assert abs(b.a - a_pinned) <= 1e-12 and abs(b.b - b_pinned) <= 1e-12
         leaf = step_profile(a_pinned, b_pinned)
         pinned = [
-            ([0.0, 0.0, 0.0], 21, 0.5385751951240464, 0.018590476378861836),
-            ([-0.03, 0.0, 0.0], 22, 0.4550907619768746, 0.01824836615829228),
+            ([0.0, 0.0, 0.0], 21, 0.5414246148643026, 0.01763946573522987),
+            ([-0.03, 0.0, 0.0], 22, 0.4614883717684442, 0.01737610622245078),
         ]
         for x, seed, value, stderr in pinned:
             est = bundle_estimate(b, x, 0.05, leaf, 150, seed)
